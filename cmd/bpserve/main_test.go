@@ -355,7 +355,7 @@ func TestFarmEndToEnd(t *testing.T) {
 					c.Fail(task, err.Error())
 					continue
 				}
-				res, err := farm.ExecuteTask(wst, task)
+				res, err := farm.ExecuteTaskCached(wst, task, nil)
 				if err != nil {
 					c.Fail(task, err.Error())
 					continue

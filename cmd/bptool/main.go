@@ -310,7 +310,7 @@ func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string, rc *bp.R
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	selBytes, cached, err := service.AnalyzeCachedReplay(st, key, bp.DefaultConfig(), rc)
+	selBytes, cached, _, err := service.AnalyzeCached(st, key, bp.DefaultConfig(), rc, nil)
 	if err != nil {
 		return nil, nil, "", "", err
 	}

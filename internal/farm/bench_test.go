@@ -60,10 +60,12 @@ func freshAnalysis(b *testing.B, data []byte, cfg *bp.Config) (*store.Store, str
 
 // BenchmarkQueueEnqueueComplete measures the queue's bookkeeping cost per
 // task — one enqueue, lease and complete round trip with a synthetic
-// payload — with and without the write-ahead log, isolating what
-// durability (three fsynced journal appends plus an artifact write per
-// round) costs on the coordinator. The spread between the two is the
-// number the bpserve -wal flag trades against crash recovery.
+// payload — with and without the write-ahead log. Both arms store the
+// result artifact with a file and directory fsync, so neither is free of
+// fsync: the spread between the two is the three fsynced journal appends
+// per round alone, the number the bpserve -wal flag trades against crash
+// recovery. BenchmarkWALAppend (internal/store) measures one such append
+// in isolation.
 func BenchmarkQueueEnqueueComplete(b *testing.B) {
 	// A well-formed content key; the queue never opens the trace for
 	// bookkeeping, so no recording is needed.

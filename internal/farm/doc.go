@@ -78,6 +78,11 @@
 // died with. NewQueue remains purely in-memory; cmd/bpserve opens the
 // durable variant by default at <store>/farm.wal (disable with -wal off).
 //
+// The journal engine — framing, one-pass replay, compaction policy and
+// the counters behind Stats' wal_* fields — is store.WAL, shared with the
+// job journal (internal/service). This package owns the task records
+// below, their fold, the live-set snapshot and the Recovery taxonomy.
+//
 // Record format: the log is a sequence of frames, each a 4-byte
 // little-endian payload length, a 4-byte little-endian CRC-32C
 // (Castagnoli) of the payload, and the payload itself — a JSON walRecord
@@ -104,7 +109,8 @@
 //
 // Recovery (NewDurableQueue on a non-empty log) replays the valid frame
 // prefix — a torn tail from a mid-append crash is detected by length/CRC
-// and truncated away — folding records into per-task state. Tasks still
+// and truncated away in the same pass — folding records into per-task
+// state. Tasks still
 // pending re-enter the queue in their original order; tasks that were
 // leased re-enter pending immediately after them (their workers may be
 // gone; if not, their uploads are accepted idempotently), with the
@@ -121,8 +127,8 @@
 //
 // Compaction: the journal is rewritten (atomically, via temp file and
 // rename) to just the live tasks — one enqueue record each, plus a lease
-// record for tasks out on a worker — once it holds at least 1024 records
-// and at least 4 records per live task, and always once at startup after
-// replay. Compacted history is gone by design: the log's only job is to
+// record for tasks out on a worker — once it holds at least
+// store.WALCompactMinRecords records and at least store.WALCompactFactor
+// records per live task, and always once at startup after replay. Compacted history is gone by design: the log's only job is to
 // reconstruct live state, not to audit finished work.
 package farm

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"barrierpoint/internal/store"
 )
 
 // FuzzWALReplay hammers the journal replay with arbitrary bytes. Replay
@@ -32,6 +34,25 @@ func fuzzFrame(payload []byte) []byte {
 	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, fuzzCRC))
 	copy(b[8:], payload)
 	return b
+}
+
+// replayWALBytes replays data through the queue's recovery path: the
+// bytes become the journal file at path, folded through store.RecoverWAL
+// exactly as NewDurableQueue opens its log. It returns the folded state,
+// the length of the intact prefix and the number of records replayed.
+func replayWALBytes(t *testing.T, path string, data []byte) (*walState, int64, int, error) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newWALState()
+	w, err := store.RecoverWAL(path, s.apply)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer w.Close()
+	ws := w.Stats()
+	return s, ws.Bytes, ws.Replayed, nil
 }
 
 // encodeLive serializes a replayed state exactly the way compactLocked
@@ -150,8 +171,11 @@ func FuzzWALReplay(f *testing.F) {
 	for _, s := range allWALSeeds(f) {
 		f.Add(s)
 	}
+	// One journal file per fuzzing process, rewritten by each input (the
+	// fuzz function never runs concurrently with itself here).
+	path := filepath.Join(f.TempDir(), "farm.wal")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, valid, n, err := replayWALReader(bytes.NewReader(data))
+		s, valid, n, err := replayWALBytes(t, path, data)
 		if err != nil {
 			t.Fatalf("replay returned error %v (must fold any byte stream)", err)
 		}
@@ -177,12 +201,12 @@ func FuzzWALReplay(f *testing.F) {
 		// journal this property does not hold for would mutate queue state
 		// on every coordinator restart.
 		c1 := encodeLive(s)
-		s2, _, _, err := replayWALReader(bytes.NewReader(c1))
+		s2, _, _, err := replayWALBytes(t, path, c1)
 		if err != nil {
 			t.Fatalf("replaying compacted form: %v", err)
 		}
 		c2 := encodeLive(s2)
-		s3, _, _, err := replayWALReader(bytes.NewReader(c2))
+		s3, _, _, err := replayWALBytes(t, path, c2)
 		if err != nil {
 			t.Fatalf("replaying canonical form: %v", err)
 		}

@@ -193,12 +193,10 @@ type Queue struct {
 	closed  bool
 
 	// wal, when set, journals every task transition before it is applied;
-	// walRecs counts records since the last compaction and recovery holds
-	// what replay rebuilt. crashHook is a test seam invoked between a WAL
-	// append and its in-memory apply — returning an error simulates a
-	// crash exactly on that edge.
+	// recovery holds what replay rebuilt. crashHook is a test seam invoked
+	// between a WAL append and its in-memory apply — returning an error
+	// simulates a crash exactly on that edge.
 	wal       *store.WAL
-	walRecs   int
 	recovery  Recovery
 	crashHook func(op string) error
 
@@ -725,7 +723,9 @@ func (q *Queue) Stats() Stats {
 	}
 	s.LiveWorkers = q.liveWorkersLocked(time.Now())
 	if q.wal != nil {
-		s.WALBytes = q.wal.Size()
+		ws := q.wal.Stats()
+		s.WALAppends, s.WALErrors = ws.Appends, ws.Errors
+		s.WALCompactions, s.WALBytes = ws.Compactions, ws.Bytes
 	}
 	return s
 }

@@ -21,20 +21,15 @@ func PointArtifact(region int, mc bp.MachineConfig, warmup string) string {
 	return fmt.Sprintf("point-%06d-%s-%s.json", region, store.HashJSON(mc), store.SanitizeLabel(warmup))
 }
 
-// ExecuteTask performs a leased task against a local store: open the
-// trace, simulate the single point, return the result. This is the one
-// compute path shared by in-process workers and cmd/bpworker, and it
+// ExecuteTaskCached performs a leased task against a local store: open
+// the trace, simulate the single point, return the result. This is the
+// one compute path shared by in-process workers and cmd/bpworker, and it
 // funnels into bp.SimulatePoint — the same code LocalRunner runs — so
-// farmed results are bit-identical to local ones.
-func ExecuteTask(st *store.Store, t Task) (bp.RegionResult, error) {
-	return ExecuteTaskCached(st, t, nil)
-}
-
-// ExecuteTaskCached is ExecuteTask with a region replay cache: a worker
-// that leases many points of one trace (the common batch shape) decodes
-// each warmup-prefix region once instead of once per point. rc is keyed by
-// the task's trace content key; nil streams from disk. Cached and uncached
-// execution are bit-identical.
+// farmed results are bit-identical to local ones. rc is a region replay
+// cache keyed by the task's trace content key: a worker that leases many
+// points of one trace (the common batch shape) decodes each
+// warmup-prefix region once instead of once per point. A nil rc streams
+// from disk; cached and uncached execution are bit-identical.
 func ExecuteTaskCached(st *store.Store, t Task, rc *bp.ReplayCache) (bp.RegionResult, error) {
 	mode, err := bp.ParseWarmup(t.Warmup)
 	if err != nil {
@@ -151,7 +146,7 @@ func (r *CachedRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfi
 }
 
 // RunLocalWorker drives an in-process worker against the queue until ctx
-// is done or the queue closes: lease, simulate via ExecuteTask over st
+// is done or the queue closes: lease, simulate via ExecuteTaskCached over st
 // (which must hold — or share — the traces), upload. It powers tests and
 // benchmarks; cmd/bpworker is the same loop over the HTTP protocol.
 func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string) {

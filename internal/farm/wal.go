@@ -3,8 +3,6 @@ package farm
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"time"
 
@@ -157,24 +155,6 @@ func (s *walState) live() []*walTask {
 	return out
 }
 
-// replayWALReader folds every intact record of r into a fresh state;
-// exposed at reader level so FuzzWALReplay can drive it on raw bytes.
-func replayWALReader(r io.Reader) (*walState, int64, int, error) {
-	s := newWALState()
-	valid, n, err := store.ReplayFrames(r, func(rec []byte) error {
-		var wr walRecord
-		if err := json.Unmarshal(rec, &wr); err != nil {
-			// An intact frame with an undecodable payload was written by
-			// someone else entirely; skip it rather than aborting the
-			// records around it.
-			return nil
-		}
-		s.apply(wr)
-		return nil
-	})
-	return s, valid, n, err
-}
-
 // NewDurableQueue creates a queue whose state is journaled to the
 // write-ahead log at walPath. If the log already holds records — the
 // normal case after a coordinator crash or restart — they are replayed
@@ -188,27 +168,14 @@ func replayWALReader(r io.Reader) (*walState, int64, int, error) {
 // Enqueue's TraceKey+artifact dedup.
 func NewDurableQueue(st *store.Store, cfg Config, walPath string) (*Queue, Recovery, error) {
 	state := newWALState()
-	var rec Recovery
-	if f, err := os.Open(walPath); err == nil {
-		var size, valid int64
-		if fi, serr := f.Stat(); serr == nil {
-			size = fi.Size()
-		}
-		state, valid, rec.Records, err = replayWALReader(f)
-		f.Close()
-		if err != nil {
-			return nil, Recovery{}, err
-		}
-		rec.Dropped = size - valid
-	} else if !os.IsNotExist(err) {
-		return nil, Recovery{}, fmt.Errorf("farm: opening wal: %w", err)
-	}
-	rec.Completed = state.completed
-	rec.Failed = state.failed
-
-	w, err := store.OpenWAL(walPath)
+	w, err := store.RecoverWAL(walPath, state.apply)
 	if err != nil {
 		return nil, Recovery{}, err
+	}
+	ws := w.Stats()
+	rec := Recovery{
+		Records: ws.Replayed, Dropped: ws.Dropped,
+		Completed: state.completed, Failed: state.failed,
 	}
 	q := newQueue(st, cfg)
 	q.wal = w
@@ -282,21 +249,16 @@ func (q *Queue) appendWALLocked(rec walRecord) error {
 	if q.wal == nil {
 		return nil
 	}
-	if q.walRecs >= walCompactMinRecords && q.walRecs >= walCompactFactor*len(q.tasks) {
-		if err := q.compactLocked(); err != nil {
-			return err
-		}
+	if err := q.wal.MaybeCompact(len(q.tasks), q.snapshotLocked); err != nil {
+		return err
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
 	if err := q.wal.Append(b); err != nil {
-		q.stats.WALErrors++
 		return err
 	}
-	q.stats.WALAppends++
-	q.walRecs++
 	if q.crashHook != nil {
 		if err := q.crashHook(rec.Op); err != nil {
 			return err
@@ -305,33 +267,15 @@ func (q *Queue) appendWALLocked(rec walRecord) error {
 	return nil
 }
 
-// Compaction triggers: the journal is rewritten to just the live tasks
-// once it holds at least walCompactMinRecords records and at least
-// walCompactFactor records per live task (so a large busy queue is not
-// compacted while the log is still mostly live state), and always once at
-// startup after replay.
-const (
-	walCompactMinRecords = 1024
-	walCompactFactor     = 4
-)
+// compactLocked rewrites the journal to exactly the live tasks (see
+// snapshotLocked); q.mu must be held (or the queue not yet shared).
+func (q *Queue) compactLocked() error { return q.wal.Compact(q.snapshotLocked) }
 
-// compactLocked rewrites the journal to exactly the live tasks: one
-// enqueue record per task (carrying its current attempt count and failure
-// log), plus a lease record for each task currently out on a worker.
-// q.mu must be held (or the queue not yet shared).
-func (q *Queue) compactLocked() error {
-	if q.wal == nil {
-		return nil
-	}
-	var payloads [][]byte
-	emit := func(rec walRecord) error {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		payloads = append(payloads, b)
-		return nil
-	}
+// snapshotLocked encodes the live tasks as journal records: one enqueue
+// record per task (carrying its current attempt count and failure log),
+// plus a lease record for each task currently out on a worker. q.mu must
+// be held (or the queue not yet shared).
+func (q *Queue) snapshotLocked() ([][]byte, error) {
 	// Pending tasks first, in queue order, then any remaining live tasks
 	// (the leased ones) by id: replaying the compacted log must rebuild
 	// the same pending order the queue holds now.
@@ -352,23 +296,14 @@ func (q *Queue) compactLocked() error {
 	}
 	sort.Slice(rest, func(i, j int) bool { return rest[i].ID < rest[j].ID })
 	order = append(order, rest...)
+	var recs []walRecord
 	for _, t := range order {
-		if err := emit(walRecord{Op: opEnqueue, Task: &t.Task, Failures: t.failures}); err != nil {
-			return err
-		}
+		recs = append(recs, walRecord{Op: opEnqueue, Task: &t.Task, Failures: t.failures})
 		if t.leased {
-			if err := emit(walRecord{Op: opLease, ID: t.ID, Worker: t.worker, Attempt: t.Attempt}); err != nil {
-				return err
-			}
+			recs = append(recs, walRecord{Op: opLease, ID: t.ID, Worker: t.worker, Attempt: t.Attempt})
 		}
 	}
-	if err := q.wal.Rewrite(payloads); err != nil {
-		q.stats.WALErrors++
-		return err
-	}
-	q.walRecs = len(payloads)
-	q.stats.WALCompactions++
-	return nil
+	return store.MarshalRecords(recs)
 }
 
 // Recovery returns what this queue rebuilt from its journal at

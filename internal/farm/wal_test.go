@@ -8,6 +8,7 @@ package farm
 import (
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -440,14 +441,14 @@ func TestCompactionFixpoint(t *testing.T) {
 		q1.mu.Unlock()
 		t.Fatal(err)
 	}
-	recsAfterOnce := q1.walRecs
+	recsAfterOnce := q1.wal.Stats().Records
 	if err := q1.compactLocked(); err != nil {
 		q1.mu.Unlock()
 		t.Fatal(err)
 	}
-	if q1.walRecs != recsAfterOnce {
+	if q1.wal.Stats().Records != recsAfterOnce {
 		q1.mu.Unlock()
-		t.Fatalf("second compaction changed record count %d -> %d", recsAfterOnce, q1.walRecs)
+		t.Fatalf("second compaction changed record count %d -> %d", recsAfterOnce, q1.wal.Stats().Records)
 	}
 	q1.mu.Unlock()
 	crash(q1)
@@ -513,9 +514,9 @@ func TestCompactionTriggersUnderChurn(t *testing.T) {
 		t.Fatalf("no compaction after %d appends (stats %+v)", s.WALAppends, s)
 	}
 	q.mu.Lock()
-	recs := q.walRecs
+	recs := q.wal.Stats().Records
 	q.mu.Unlock()
-	if recs >= walCompactMinRecords+walCompactFactor {
+	if recs >= store.WALCompactMinRecords+store.WALCompactFactor {
 		t.Errorf("journal still holds %d records after compaction", recs)
 	}
 }
@@ -559,5 +560,71 @@ func TestStaleWorkerIDGetsNoLease(t *testing.T) {
 	}
 	if q1.Epoch() == q2.Epoch() {
 		t.Error("restarted queue kept the same epoch")
+	}
+}
+
+// TestRecoversPreviousReleaseJournal is the upgrade rail: testdata/farm.wal
+// was written by the previous release's queue — five tasks, of which one
+// completed, one failed after three attempts, two were leased in flight
+// and one was pending after two failures — and ends in a torn 18-byte
+// frame. A coordinator upgraded mid-job must rebuild exactly the same
+// live tasks, attempts and failure logs that release would have, and
+// continue the task-ID sequence past them.
+func TestRecoversPreviousReleaseJournal(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "farm.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := store.Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, "store", "farm.wal")
+	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, rec := reopenDurable(t, st, walPath)
+	defer q.Close()
+	want := Recovery{Records: 21, Dropped: 18, Pending: 1, Requeued: 2, Completed: 1, Failed: 1}
+	if rec != want {
+		t.Fatalf("recovery = %+v, want %+v", rec, want)
+	}
+
+	q.mu.Lock()
+	failures := make(map[string]int)
+	for id, tk := range q.tasks {
+		failures[id] = len(tk.failures)
+	}
+	q.mu.Unlock()
+	wantFailures := map[string]int{"task-000003": 1, "task-000004": 2, "task-000005": 2}
+	if len(failures) != len(wantFailures) {
+		t.Fatalf("live tasks %v, want %v", failures, wantFailures)
+	}
+	for id, n := range wantFailures {
+		if failures[id] != n {
+			t.Errorf("task %s has %d failure entries, want %d", id, failures[id], n)
+		}
+	}
+
+	type leased struct {
+		id              string
+		region, attempt int
+	}
+	wantLeases := []leased{{"task-000003", 2, 2}, {"task-000005", 4, 3}, {"task-000004", 3, 3}}
+	got := q.Lease("w2", 10)
+	if len(got) != len(wantLeases) {
+		t.Fatalf("leased %d recovered tasks, want %d", len(got), len(wantLeases))
+	}
+	for i, tk := range got {
+		if g := (leased{tk.ID, tk.Region, tk.Attempt}); g != wantLeases[i] {
+			t.Errorf("lease %d = %+v, want %+v", i, g, wantLeases[i])
+		}
+	}
+	if _, err := q.Enqueue(spec(9)); err != nil {
+		t.Fatal(err)
+	}
+	if next := q.Lease("w2", 1); len(next) != 1 || next[0].ID != "task-000006" {
+		t.Fatalf("first task after recovery = %+v, want task-000006", next)
 	}
 }

@@ -48,7 +48,7 @@ func TestIngestProfilesDuringUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := bp.DefaultConfig()
-	coldSel, _, coldStats, err := AnalyzeCachedProfiled(stCold, keyCold, cfg, mCold.replay, nil)
+	coldSel, _, coldStats, err := AnalyzeCached(stCold, keyCold, cfg, mCold.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestIngestProfilesDuringUpload(t *testing.T) {
 		t.Fatalf("ingest metadata %q/%d threads", res.Name, res.Threads)
 	}
 
-	sel, cached, stats, err := AnalyzeCachedProfiled(st, res.Key, cfg, m.replay, nil)
+	sel, cached, stats, err := AnalyzeCached(st, res.Key, cfg, m.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	selA, _, statsA, err := AnalyzeCachedProfiled(st, res.Key, cfgA, m.replay, nil)
+	selA, _, statsA, err := AnalyzeCached(st, res.Key, cfgA, m.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if SelectionArtifact(cfgA) == SelectionArtifact(cfgB) {
 		t.Fatal("different MaxK landed on the same selection artifact")
 	}
-	selB, cached, statsB, err := AnalyzeCachedProfiled(st, res.Key, cfgB, m.replay, nil)
+	selB, cached, statsB, err := AnalyzeCached(st, res.Key, cfgB, m.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, statsC, err := AnalyzeCachedProfiled(st, res.Key, cfgC, m.replay, nil)
+	_, _, statsC, err := AnalyzeCached(st, res.Key, cfgC, m.replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

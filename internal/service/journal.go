@@ -3,8 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
 	bp "barrierpoint"
@@ -19,8 +17,11 @@ import (
 // addressed store resolve on the spot (the crash beat the journal's done
 // record, not the work); the rest re-enter the queue and recompute
 // through the same artifact caches, so recovered results are
-// byte-identical to an uninterrupted run. The design mirrors
-// internal/farm/wal.go, which does the same for individual farm tasks.
+// byte-identical to an uninterrupted run. The journal engine itself —
+// one-pass replay, torn-tail truncation, compaction policy, counters — is
+// store.WAL, shared with the farm queue's task log (internal/farm/wal.go);
+// this file holds only the job records, their fold and the snapshot that
+// compaction writes back.
 
 // Journal operation tags.
 const (
@@ -94,6 +95,10 @@ type journalState struct {
 	order []string
 }
 
+func newJournalState() *journalState {
+	return &journalState{jobs: make(map[string]*journalJob)}
+}
+
 // applyJournal folds one record into the state. Records that do not
 // resolve against the current state (an unknown id, a malformed payload)
 // are skipped: replay must accept any intact prefix the framing layer
@@ -127,20 +132,6 @@ func (s *journalState) apply(rec journalRecord) {
 	}
 }
 
-// replayJournalReader folds every intact record of r into a fresh state.
-func replayJournalReader(r io.Reader) (*journalState, int64, int, error) {
-	s := &journalState{jobs: make(map[string]*journalJob)}
-	valid, n, err := store.ReplayFrames(r, func(rec []byte) error {
-		var jr journalRecord
-		if err := json.Unmarshal(rec, &jr); err != nil {
-			return nil // foreign frame; skip, keep the records around it
-		}
-		s.apply(jr)
-		return nil
-	})
-	return s, valid, n, err
-}
-
 // EnableJournal makes the manager's job state durable: lifecycle records
 // are journaled to the write-ahead log at path, and any records already
 // there — the normal case after a crash or restart — are replayed first.
@@ -153,27 +144,13 @@ func replayJournalReader(r io.Reader) (*journalState, int64, int, error) {
 // Call it once, after SetFarm (recovered estimates may farm their
 // points) and before the first Submit.
 func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
-	state := &journalState{jobs: make(map[string]*journalJob)}
-	var rec JobRecovery
-	if f, err := os.Open(path); err == nil {
-		var size, valid int64
-		if fi, serr := f.Stat(); serr == nil {
-			size = fi.Size()
-		}
-		state, valid, rec.Records, err = replayJournalReader(f)
-		f.Close()
-		if err != nil {
-			return JobRecovery{}, err
-		}
-		rec.Dropped = size - valid
-	} else if !os.IsNotExist(err) {
-		return JobRecovery{}, fmt.Errorf("service: opening job journal: %w", err)
-	}
-
-	w, err := store.OpenWAL(path)
+	state := newJournalState()
+	w, err := store.RecoverWAL(path, state.apply)
 	if err != nil {
 		return JobRecovery{}, err
 	}
+	ws := w.Stats()
+	rec := JobRecovery{Records: ws.Replayed, Dropped: ws.Dropped}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -182,7 +159,6 @@ func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
 		return JobRecovery{}, ErrClosed
 	}
 	m.journal = w
-	m.journalRecs = rec.Records
 	for _, id := range state.order {
 		jj := state.jobs[id]
 		if n := jobSeq(id); n > m.seq {
@@ -228,7 +204,7 @@ func (m *Manager) EnableJournal(path string) (JobRecovery, error) {
 	}
 	m.recovered.Store(int64(rec.Resolved + rec.Requeued + rec.Terminal))
 	m.jobRecovery = rec
-	if err := m.compactJournalLocked(); err != nil {
+	if err := w.Compact(m.journalSnapshotLocked); err != nil {
 		m.journal = nil
 		w.Close()
 		return JobRecovery{}, err
@@ -346,22 +322,14 @@ func (m *Manager) appendJournalLocked(rec journalRecord) error {
 	if m.journal == nil || m.journalClosed {
 		return nil
 	}
-	if m.journalRecs >= journalCompactMinRecords && m.journalRecs >= journalCompactFactor*(len(m.jobs)+1) {
-		if err := m.compactJournalLocked(); err != nil {
-			return err
-		}
+	if err := m.journal.MaybeCompact(len(m.jobs), m.journalSnapshotLocked); err != nil {
+		return err
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	if err := m.journal.Append(b); err != nil {
-		m.journalErrors++
-		return err
-	}
-	m.journalAppends++
-	m.journalRecs++
-	return nil
+	return m.journal.Append(b)
 }
 
 // journalBestEffortLocked appends a progress or terminal record, eating
@@ -369,69 +337,38 @@ func (m *Manager) appendJournalLocked(rec journalRecord) error {
 // the request in the submit record and the result artifact in the store
 // — already exists, so recovery reaches the same state with or without
 // them. Failing the job over a telemetry-grade append would turn a disk
-// hiccup into a lost result. Errors still count in journalErrors.
+// hiccup into a lost result. Errors still count in JournalStats.Errors.
 func (m *Manager) journalBestEffortLocked(rec journalRecord) {
 	_ = m.appendJournalLocked(rec)
 }
 
-// Compaction triggers: the journal is rewritten to the retained jobs
-// once it holds at least journalCompactMinRecords records and at least
-// journalCompactFactor records per retained job, and always once at
-// startup after replay. Jobs pruned from the retention window drop out
-// of the journal at the next compaction, so the log tracks the
-// manager's bounded memory, not its full history.
-const (
-	journalCompactMinRecords = 1024
-	journalCompactFactor     = 4
-)
-
-// compactJournalLocked rewrites the journal to exactly the retained
-// jobs: a submit record per job, plus its terminal record where one
-// applies. m.mu must be held (or the manager not yet shared).
-func (m *Manager) compactJournalLocked() error {
-	if m.journal == nil || m.journalClosed {
-		return nil
-	}
-	var payloads [][]byte
-	emit := func(rec journalRecord) error {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		payloads = append(payloads, b)
-		return nil
-	}
+// journalSnapshotLocked encodes the retained jobs as journal records — a
+// submit record per job, plus its terminal record where one applies — for
+// compaction. Jobs pruned from the retention window drop out of the
+// journal at the next compaction, so the log tracks the manager's bounded
+// memory, not its full history. m.mu must be held (or the manager not yet
+// shared).
+func (m *Manager) journalSnapshotLocked() ([][]byte, error) {
+	var recs []journalRecord
 	for _, id := range m.order {
 		j, ok := m.jobs[id]
 		if !ok {
 			continue
 		}
-		if err := emit(submitRecord(j, hashJSON(j.cfg))); err != nil {
-			return err
-		}
+		recs = append(recs, submitRecord(j, hashJSON(j.cfg)))
 		switch j.status {
 		case StatusDone:
-			if err := emit(journalRecord{
+			recs = append(recs, journalRecord{
 				Op: jopDone, ID: j.id, Artifact: j.artifact, Cached: j.cached,
 				FinishedNs: j.finished.UnixNano(),
-			}); err != nil {
-				return err
-			}
+			})
 		case StatusFailed:
-			if err := emit(journalRecord{
+			recs = append(recs, journalRecord{
 				Op: jopFailed, ID: j.id, Error: j.err, FinishedNs: j.finished.UnixNano(),
-			}); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	if err := m.journal.Rewrite(payloads); err != nil {
-		m.journalErrors++
-		return err
-	}
-	m.journalRecs = len(payloads)
-	m.journalCompactions++
-	return nil
+	return store.MarshalRecords(recs)
 }
 
 // closeJournalLocked journals nothing further and releases the file; the
@@ -458,16 +395,14 @@ type JournalStats struct {
 func (m *Manager) JournalStats() JournalStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := JournalStats{
-		Appends:     m.journalAppends,
-		Errors:      m.journalErrors,
-		Compactions: m.journalCompactions,
+	if m.journal == nil {
+		return JournalStats{}
 	}
-	if m.journal != nil {
-		s.Durable = true
-		s.Bytes = m.journal.Size()
+	ws := m.journal.Stats()
+	return JournalStats{
+		Durable: true, Bytes: ws.Bytes,
+		Appends: ws.Appends, Errors: ws.Errors, Compactions: ws.Compactions,
 	}
-	return s
 }
 
 // JobRecovery returns what this manager rebuilt from its job journal at

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	bp "barrierpoint"
 	"barrierpoint/internal/farm"
 	"barrierpoint/internal/store"
 )
@@ -228,15 +229,12 @@ func TestJournalShutdownOrdering(t *testing.T) {
 	}
 	// The journal must already hold the terminal record — no in-memory
 	// state survives this point.
-	f, err := os.Open(path)
+	state := newJournalState()
+	w, err := store.RecoverWAL(path, state.apply)
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, _, _, err := replayJournalReader(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w.Close()
 	jj, ok := state.jobs[snap.ID]
 	if !ok || !jj.terminal || jj.failed {
 		t.Fatalf("journal state after clean shutdown: %+v", jj)
@@ -416,5 +414,72 @@ func TestAutoFallsBackMidRunWhenFarmFails(t *testing.T) {
 	local := submitAndWait(t, m2, Request{Kind: KindEstimate, Trace: key2, Warmup: "cold", Exec: ExecLocal})
 	if !bytes.Equal(snap.Result, local.Result) {
 		t.Fatal("fallback result differs from pure local execution")
+	}
+}
+
+// TestJournalRecoversPreviousReleaseLog is the upgrade rail:
+// testdata/jobs.wal was written by the previous release's manager — an
+// analyze and an estimate run to done, then a failed estimate, an
+// estimate caught running, a simulate still pending, and a torn 35-byte
+// frame. A coordinator upgraded mid-job must restore every job under its
+// original ID and trace ID, finish the live ones, and continue the ID
+// sequence past them.
+func TestJournalRecoversPreviousReleaseLog(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, key := newTestStore(t)
+	const fixtureKey = "0d0f23f10b438db047b2b3e07be175a1d8965b1fd6664a38d37e2b3d3f1a1d91"
+	if key != fixtureKey {
+		t.Fatalf("test trace key %s, fixture was written against %s", key, fixtureKey)
+	}
+	// With the default selection in the store, the done analyze restores
+	// as terminal; the done estimate's artifact is absent, so it re-runs.
+	if _, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := New(st, 2, 0)
+	rec, err := m.EnableJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Shutdown(context.Background())
+	if want := (JobRecovery{Records: 18, Dropped: 35, Requeued: 3, Terminal: 2}); rec != want {
+		t.Fatalf("recovery = %+v, want %+v", rec, want)
+	}
+
+	want := []struct {
+		id, traceID string
+		status      Status
+	}{
+		{"job-000001", "5c272d12882280e0", StatusDone},
+		{"job-000002", "233c589fc166b85d", StatusDone},
+		{"job-000003", "trace-failed", StatusFailed},
+		{"job-000004", "trace-running", StatusDone},
+		{"job-000005", "trace-pending", StatusDone},
+	}
+	jobs := m.Jobs()
+	if len(jobs) != len(want) {
+		t.Fatalf("restored %d jobs, want %d", len(jobs), len(want))
+	}
+	for _, w := range want {
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		got, err := m.Wait(ctx, w.id)
+		cancel()
+		if err != nil {
+			t.Fatalf("job %s: %v", w.id, err)
+		}
+		if got.TraceID != w.traceID || got.Status != w.status || !got.Recovered {
+			t.Errorf("job %s = trace %s, %s, recovered %v (%s); want trace %s, %s, recovered",
+				w.id, got.TraceID, got.Status, got.Recovered, got.Error, w.traceID, w.status)
+		}
+	}
+	if next := submitAndWait(t, m, Request{Kind: KindAnalyze, Trace: key, MaxK: 3}); next.ID != "job-000006" {
+		t.Fatalf("first job after recovery got id %s, want job-000006", next.ID)
 	}
 }

@@ -198,11 +198,9 @@ type Manager struct {
 
 	// Job journal (EnableJournal): lifecycle records appended under m.mu
 	// so the log's order matches the in-memory transitions it mirrors.
-	journal                                           *store.WAL
-	journalClosed                                     bool
-	journalRecs                                       int
-	journalAppends, journalErrors, journalCompactions int64
-	jobRecovery                                       JobRecovery
+	journal       *store.WAL
+	journalClosed bool
+	jobRecovery   JobRecovery
 
 	submitted, deduped, done, failed, cacheHits, coldAnalyses, farmed   atomic.Int64
 	farmRecovered, adaptiveRounds, adaptivePromoted, recovered          atomic.Int64
@@ -725,7 +723,7 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 	switch j.req.Kind {
 	case KindAnalyze:
 		j.artifact = SelectionArtifact(j.cfg)
-		sel, cached, stats, err := AnalyzeCachedProfiled(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
+		sel, cached, stats, err := AnalyzeCached(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
 		if err != nil {
 			return nil, false, err
 		}
@@ -754,7 +752,7 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 		} else if !errors.Is(err, store.ErrNotFound) {
 			return nil, false, err
 		}
-		selBytes, selCached, stats, err := AnalyzeCachedProfiled(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
+		selBytes, selCached, stats, err := AnalyzeCached(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
 		if err != nil {
 			return nil, false, err
 		}

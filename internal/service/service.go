@@ -175,35 +175,19 @@ var (
 // run — and cached is true. Computation is single-flight per (store,
 // trace, config) within the process. The returned bytes parse with
 // bp.LoadSelection.
-func AnalyzeCached(st *store.Store, key string, cfg bp.Config) (sel []byte, cached bool, err error) {
-	return AnalyzeCachedReplay(st, key, cfg, nil)
-}
-
-// AnalyzeCachedReplay is AnalyzeCached with a replay cache: a cold
-// analysis decodes each region through rc (keyed by the trace's content
-// key), so a following estimate or simulate over the same cache replays
-// regions without touching the trace file. A nil rc streams from disk.
-func AnalyzeCachedReplay(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCache) (sel []byte, cached bool, err error) {
-	return AnalyzeCachedObserved(st, key, cfg, rc, nil)
-}
-
-// AnalyzeCachedObserved is AnalyzeCachedReplay with stage telemetry: a
-// cold analysis reports its profiling ("profile", or "profile-cache" when
+//
+// A cold analysis decodes each region through rc (keyed by the trace's
+// content key), so a following estimate or simulate over the same cache
+// replays regions without touching the trace file; a nil rc streams from
+// disk. It reports its profiling ("profile", or "profile-cache" when
 // every region profile was served from the store) and "cluster" stage
-// durations to obsrv. Cache hits and waits on another caller's in-flight
-// computation report nothing — no profiling ran in this call. The
-// observer never influences the computed selection.
-func AnalyzeCachedObserved(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCache, obsrv bp.StageObserver) (sel []byte, cached bool, err error) {
-	sel, cached, _, err = AnalyzeCachedProfiled(st, key, cfg, rc, obsrv)
-	return sel, cached, err
-}
-
-// AnalyzeCachedProfiled is AnalyzeCachedObserved, additionally reporting
-// where a cold analysis's region profiles came from. A selection-artifact
-// hit (cached=true) returns zero stats: nothing was profiled or even
-// fetched from the profile cache. A cold run right after a streaming
-// upload reports Computed==0 — every profile was already in the store.
-func AnalyzeCachedProfiled(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCache, obsrv bp.StageObserver) (sel []byte, cached bool, stats ProfileStats, err error) {
+// durations to obsrv (nil for none); the observer never influences the
+// computed selection. stats says where a cold analysis's region profiles
+// came from: a selection-artifact hit, or a wait on another caller's
+// in-flight computation, returns zero stats and reports no stages —
+// nothing was profiled in this call. A cold run right after a streaming
+// upload reports Computed==0, every profile already being in the store.
+func AnalyzeCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCache, obsrv bp.StageObserver) (sel []byte, cached bool, stats ProfileStats, err error) {
 	name := SelectionArtifact(cfg)
 	flightKey := st.Root() + "|" + key + "|" + name
 	for {

@@ -45,7 +45,7 @@ func TestAnalyzeCachedSkipsProfiling(t *testing.T) {
 	st, key := newTestStore(t)
 	cfg := bp.DefaultConfig()
 
-	cold, cached, err := AnalyzeCached(st, key, cfg)
+	cold, cached, _, err := AnalyzeCached(st, key, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAnalyzeCachedSkipsProfiling(t *testing.T) {
 		return orig(st, f, p, cfg, obsrv)
 	}
 
-	warm, cached, err := AnalyzeCached(st, key, cfg)
+	warm, cached, _, err := AnalyzeCached(st, key, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestAnalyzeCachedSkipsProfiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cached, err = AnalyzeCached(st, key, bbvCfg)
+	_, cached, _, err = AnalyzeCached(st, key, bbvCfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

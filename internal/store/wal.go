@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -14,13 +16,17 @@ import (
 )
 
 // This file is the store's write-ahead-log layer: an append-only record
-// file with per-record framing and checksums, used by internal/farm to
-// make the work queue's control-plane state durable. It follows the same
-// discipline as every other store write — atomic visibility — but where
-// PutArtifact and PutCampaign rewrite whole values via temp-file+rename,
-// a WAL appends incrementally and fsyncs each record, so a crash at any
-// byte offset leaves a valid prefix of records followed by at most one
-// torn frame, which open-time validation truncates away.
+// file with per-record framing and checksums, and the one journal engine
+// behind the farm queue's task log (internal/farm) and the job manager's
+// journal (internal/service). It owns what they share — one-pass replay
+// with torn-tail truncation, fsynced appends, the compaction policy and
+// rewrite, and the counters — leaving callers their record types, folds
+// and live-state snapshots. It follows the same discipline as every other
+// store write — atomic visibility — but where PutArtifact and PutCampaign
+// rewrite whole values via temp-file+rename, a WAL appends incrementally
+// and fsyncs each record, so a crash at any byte offset leaves a valid
+// prefix of records followed by at most one torn frame, which open-time
+// validation truncates away.
 //
 // # Frame format
 //
@@ -32,7 +38,7 @@ import (
 //
 // Replay reads frames until the first frame that is truncated, oversized
 // or fails its checksum; everything after that point is discarded. The
-// payload encoding is the caller's business (internal/farm uses JSON).
+// payload is a JSON record whose type belongs to the journal using it.
 
 // walMaxRecord bounds a single record's payload. Real queue records are a
 // few hundred bytes; the cap keeps a corrupted length field from forcing
@@ -128,16 +134,38 @@ type WALHooks struct {
 	WriteFrame func(f *os.File, frame []byte) error
 }
 
+// Compaction policy shared by every journal: a log is rewritten to its
+// caller's live state once it holds at least WALCompactMinRecords records
+// and at least WALCompactFactor records per live entry, so a large busy
+// live set is not compacted while the log is still mostly live state.
+const (
+	WALCompactMinRecords = 1024
+	WALCompactFactor     = 4
+)
+
+// WALStats counts a WAL's activity since it was opened.
+type WALStats struct {
+	Replayed    int   // intact records replayed at open
+	Dropped     int64 // torn-tail bytes truncated at open
+	Records     int   // records in the log: replayed or last rewritten, plus appends since
+	Appends     int64 // successful appends
+	Errors      int64 // failed appends and rewrites
+	Compactions int64 // successful rewrites
+	Bytes       int64 // on-disk length of intact frames
+}
+
 // WAL is an append-only, checksummed, fsync-per-record log. Appends are
-// not internally locked — callers (the farm queue) serialize them under
-// their own mutex, which also keeps the log ordered identically to the
-// in-memory state transitions it journals.
+// not internally locked — callers (the farm queue, the job manager)
+// serialize them under their own mutex, which also keeps the log ordered
+// identically to the in-memory state transitions it journals; Stats must
+// be read under that same mutex.
 type WAL struct {
 	path   string
 	f      *os.File
 	size   int64 // bytes of intact frames on disk
 	hooks  *WALHooks
 	broken bool
+	stats  WALStats
 	// observer, when set, receives the wall-clock duration of each durable
 	// operation: op "append" per Append, "rewrite" per Rewrite (compaction).
 	// Telemetry only; it runs after the operation's outcome is decided.
@@ -158,32 +186,74 @@ func (w *WAL) observe(op string, t0 time.Time) {
 // OpenWAL opens (creating if needed) the log at path for appending. Any
 // torn frame left by a crash is truncated away first, so appends always
 // start at a record boundary. The parent directory is created if missing.
-func OpenWAL(path string) (*WAL, error) { return OpenWALHooked(path, nil) }
+func OpenWAL(path string) (*WAL, error) { return openWAL(path, nil, nil) }
 
 // OpenWALHooked is OpenWAL with fault-injection hooks (tests only).
-func OpenWALHooked(path string, hooks *WALHooks) (*WAL, error) {
+func OpenWALHooked(path string, hooks *WALHooks) (*WAL, error) { return openWAL(path, hooks, nil) }
+
+// RecoverWAL is OpenWAL for a journal that rebuilds its state from the
+// log. Journal records are JSON (see MarshalRecords): in the same single
+// pass that validates the tail, each intact record is decoded into a T
+// and handed to apply, in log order. A frame whose payload does not
+// decode was written by someone else entirely; it is skipped rather than
+// aborting the records around it. Stats reports how many records were
+// replayed and how many torn-tail bytes were dropped.
+func RecoverWAL[T any](path string, apply func(rec T)) (*WAL, error) {
+	return openWAL(path, nil, func(b []byte) error {
+		var rec T
+		if json.Unmarshal(b, &rec) == nil {
+			apply(rec)
+		}
+		return nil
+	})
+}
+
+// MarshalRecords encodes journal records as the payloads Rewrite takes
+// and RecoverWAL decodes.
+func MarshalRecords[T any](recs []T) ([][]byte, error) {
+	out := make([][]byte, len(recs))
+	for i, rec := range recs {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = b
+	}
+	return out, nil
+}
+
+func openWAL(path string, hooks *WALHooks, fold func(rec []byte) error) (*WAL, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
-	}
-	valid, _, err := ReplayWAL(path, nil)
-	if err != nil {
-		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > valid {
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	valid, n, err := ReplayFrames(bufio.NewReader(f), fold)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	if fi.Size() > valid {
 		if err := f.Truncate(valid); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("store: truncating torn wal tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &WAL{path: path, f: f, size: valid, hooks: hooks}, nil
+	w := &WAL{path: path, f: f, size: valid, hooks: hooks}
+	w.stats.Replayed, w.stats.Records = n, n
+	w.stats.Dropped = fi.Size() - valid
+	return w, nil
 }
 
 // Path returns the log's file path.
@@ -198,6 +268,16 @@ func (w *WAL) Size() int64 { return w.size }
 // intact frame; if even that fails the WAL is marked broken and every
 // later append returns ErrWALBroken.
 func (w *WAL) Append(payload []byte) error {
+	if err := w.append(payload); err != nil {
+		w.stats.Errors++
+		return err
+	}
+	w.stats.Appends++
+	w.stats.Records++
+	return nil
+}
+
+func (w *WAL) append(payload []byte) error {
 	if w.broken {
 		return ErrWALBroken
 	}
@@ -243,6 +323,16 @@ func (w *WAL) writeFrame(frame []byte) error {
 // primitive — a crash at any point leaves either the old log or the new
 // one, never a mix.
 func (w *WAL) Rewrite(payloads [][]byte) error {
+	if err := w.rewrite(payloads); err != nil {
+		w.stats.Errors++
+		return err
+	}
+	w.stats.Compactions++
+	w.stats.Records = len(payloads)
+	return nil
+}
+
+func (w *WAL) rewrite(payloads [][]byte) error {
 	defer w.observe("rewrite", time.Now())
 	dir := filepath.Dir(w.path)
 	tmp, err := os.CreateTemp(dir, ".wal-*")
@@ -289,6 +379,34 @@ func (w *WAL) Rewrite(payloads [][]byte) error {
 		return fmt.Errorf("store: syncing wal dir: %w", serr)
 	}
 	return nil
+}
+
+// MaybeCompact applies the compaction policy (see WALCompactMinRecords):
+// when the log has outgrown a live set of the given size, it is compacted
+// to snapshot. Journals call it before each append, so the new record
+// lands in the fresh log.
+func (w *WAL) MaybeCompact(live int, snapshot func() ([][]byte, error)) error {
+	if w.stats.Records < WALCompactMinRecords || w.stats.Records < WALCompactFactor*live {
+		return nil
+	}
+	return w.Compact(snapshot)
+}
+
+// Compact rewrites the log to the live-state records snapshot returns;
+// journals compact once unconditionally at startup, after replay.
+func (w *WAL) Compact(snapshot func() ([][]byte, error)) error {
+	payloads, err := snapshot()
+	if err != nil {
+		return err
+	}
+	return w.Rewrite(payloads)
+}
+
+// Stats returns the log's activity counters.
+func (w *WAL) Stats() WALStats {
+	s := w.stats
+	s.Bytes = w.size
+	return s
 }
 
 // Close releases the file handle. The log itself stays on disk — that is
