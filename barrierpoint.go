@@ -34,13 +34,6 @@
 // selections, machine config and warmup mode for estimates. Repeat
 // analyses of byte-identical traces are cache hits that never re-profile;
 // the paper's "one-time cost" (Fig. 2) is paid once per trace content.
-//
-// The same content keys drive in-memory replay caching: a ReplayCache
-// (NewReplayCache, OpenTraceCached) holds fully decoded regions of
-// recorded traces in a byte-bounded LRU, so pipeline stages that revisit
-// regions — warmup capture before SimulatePoints, estimate plus ground
-// truth over one trace — decode each region once and replay it zero-copy.
-// Cached and uncached replays produce bit-identical results.
 package barrierpoint
 
 import (

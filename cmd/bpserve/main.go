@@ -22,7 +22,7 @@
 //	GET  /v1/jobs              list jobs
 //	GET  /v1/jobs/{id}         job status; result embedded when done
 //	GET  /healthz              liveness + readiness: store/queue counters,
-//	                           WAL status, replay-cache and fleet state
+//	                           job-journal, WAL and fleet state
 //	GET  /debug/vars           expvar-style metrics
 //	GET  /metrics              Prometheus text exposition (bp_-prefixed)
 //
@@ -89,7 +89,6 @@ func run(args []string, stderr io.Writer) error {
 		maxMB     = fs.Int64("max-upload-mb", 1024, "largest accepted trace upload, MiB")
 		leaseTTL  = fs.Duration("farm-lease-ttl", 30*time.Second, "farm task lease duration (heartbeats renew it)")
 		retries   = fs.Int("farm-retries", 3, "farm task attempts before permanent failure")
-		replayMB  = fs.Int64("replay-cache-mb", 256, "decoded-region replay cache budget, MiB (0 disables)")
 		walPath   = fs.String("wal", "", "farm queue write-ahead log path (default <store>/farm.wal; \"off\" disables durability)")
 		jobWal    = fs.String("job-wal", "", "job journal path (default <store>/jobs.wal; \"off\" disables crash-safe job recovery)")
 		drainTO   = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: time allowed for in-flight jobs to finish")
@@ -119,11 +118,6 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 	mgr := service.New(st, *workers, *depth)
-	if *replayMB <= 0 {
-		mgr.SetReplayCacheBytes(-1)
-	} else {
-		mgr.SetReplayCacheBytes(*replayMB << 20)
-	}
 	fcfg := farm.Config{LeaseTTL: *leaseTTL, MaxAttempts: *retries}
 	wal := *walPath
 	if wal == "" {
@@ -224,7 +218,6 @@ func newServer(st *store.Store, mgr *service.Manager) *server {
 		return len(keys)
 	}))
 	s.vars.Set("jobs", expvar.Func(func() any { return s.mgr.Stats() }))
-	s.vars.Set("replay_cache", expvar.Func(func() any { return s.mgr.ReplayCacheStats() }))
 	if q := mgr.Farm(); q != nil {
 		s.vars.Set("farm", expvar.Func(func() any { return q.Stats() }))
 		s.vars.Set("farm_recovery", expvar.Func(func() any { return q.Recovery() }))
@@ -501,21 +494,16 @@ func (s *server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealth reports liveness plus readiness detail: job-manager
-// counters, replay-cache occupancy, and — when a farm queue is wired —
-// fleet and write-ahead-log state. "ready" is true once the store is
+// counters, job-journal state, and — when a farm queue is wired — fleet
+// and write-ahead-log state. "ready" is true once the store is
 // readable; orchestration probes can gate worker traffic on it.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	_, storeErr := s.st.Traces()
-	rcs := s.mgr.ReplayCacheStats()
 	body := map[string]any{
 		"status":         "ok",
 		"ready":          storeErr == nil,
 		"uptime_seconds": time.Since(s.started).Seconds(),
 		"stats":          s.mgr.Stats(),
-		"replay_cache": map[string]any{
-			"bytes":     rcs.Bytes,
-			"max_bytes": rcs.MaxBytes,
-		},
 	}
 	if storeErr != nil {
 		body["store_error"] = storeErr.Error()

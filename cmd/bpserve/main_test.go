@@ -355,7 +355,7 @@ func TestFarmEndToEnd(t *testing.T) {
 					c.Fail(task, err.Error())
 					continue
 				}
-				res, err := farm.ExecuteTaskCached(wst, task, nil)
+				res, err := farm.ExecuteTask(wst, task)
 				if err != nil {
 					c.Fail(task, err.Error())
 					continue
@@ -421,7 +421,7 @@ func TestFarmEndToEnd(t *testing.T) {
 // server and then checks the observability surface: /metrics serves valid
 // Prometheus text with monotone histogram buckets, /debug/vars bridges
 // the same registry under the "metrics" key with matching values, and
-// /healthz reports readiness with replay-cache, fleet and WAL state.
+// /healthz reports readiness with fleet and WAL state.
 func TestMetricsAndHealthEndpoints(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -539,14 +539,11 @@ func TestMetricsAndHealthEndpoints(t *testing.T) {
 			bridged, samples["bp_jobs_done_total"])
 	}
 
-	// /healthz: readiness plus replay-cache, fleet and WAL detail.
+	// /healthz: readiness plus fleet and WAL detail.
 	var health struct {
-		Status      string `json:"status"`
-		Ready       bool   `json:"ready"`
-		ReplayCache struct {
-			MaxBytes int64 `json:"max_bytes"`
-		} `json:"replay_cache"`
-		Farm struct {
+		Status string `json:"status"`
+		Ready  bool   `json:"ready"`
+		Farm   struct {
 			WorkersRegistered int `json:"workers_registered"`
 			WorkersLive       int `json:"workers_live"`
 			WAL               struct {
@@ -557,9 +554,6 @@ func TestMetricsAndHealthEndpoints(t *testing.T) {
 	doJSON(t, "GET", base+"/healthz", nil, http.StatusOK, &health)
 	if health.Status != "ok" || !health.Ready {
 		t.Fatalf("health: %+v", health)
-	}
-	if health.ReplayCache.MaxBytes <= 0 {
-		t.Errorf("health replay_cache.max_bytes = %d", health.ReplayCache.MaxBytes)
 	}
 	if health.Farm.WorkersRegistered != 1 || health.Farm.WorkersLive != 1 {
 		t.Errorf("health farm fleet: %+v", health.Farm)

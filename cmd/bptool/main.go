@@ -143,9 +143,8 @@ func runRecord(args []string, stdout, stderr io.Writer) error {
 
 // runTrace fetches a job snapshot from a bpserve server and prints its
 // telemetry span: trace ID, wall clock, and the per-stage breakdown. The
-// sequential stages partition the job's wall clock (the remainder prints
-// as "(other)"); concurrent stages, like replay-cache decode work, overlap
-// them and are listed separately.
+// stages partition the job's wall clock; the remainder prints as
+// "(other)".
 func runTrace(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bptool trace", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -200,12 +199,7 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "wall:     %v\n", wall.Round(time.Microsecond))
 	}
 	fmt.Fprintf(stdout, "\n%-18s %12s %7s %6s\n", "stage", "time", "share", "count")
-	var seqSum int64
 	for _, st := range sp.Stages {
-		if st.Concurrent {
-			continue
-		}
-		seqSum += st.DurationNs
 		share := ""
 		if wall > 0 {
 			share = fmt.Sprintf("%5.1f%%", 100*float64(st.DurationNs)/float64(sp.DurationNs))
@@ -213,16 +207,9 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "%-18s %12v %7s %6d\n",
 			st.Name, time.Duration(st.DurationNs).Round(time.Microsecond), share, st.Count)
 	}
-	if rest := sp.DurationNs - seqSum; rest > 0 && wall > 0 {
+	if rest := sp.DurationNs - sp.StageSumNs(); rest > 0 && wall > 0 {
 		fmt.Fprintf(stdout, "%-18s %12v %6.1f%%\n",
 			"(other)", time.Duration(rest).Round(time.Microsecond), 100*float64(rest)/float64(sp.DurationNs))
-	}
-	for _, st := range sp.Stages {
-		if !st.Concurrent {
-			continue
-		}
-		fmt.Fprintf(stdout, "%-18s %12v %7s %6d\n",
-			st.Name+" ‖", time.Duration(st.DurationNs).Round(time.Microsecond), "", st.Count)
 	}
 	return nil
 }
@@ -293,8 +280,8 @@ func runInfo(args []string, stdout, stderr io.Writer) error {
 // workloads are recorded first), and the selection is served from the store
 // when already cached — profiling and clustering are skipped entirely. The
 // returned program replays from the store's copy of the trace, so later
-// stages stream exactly the bytes the key addresses.
-func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string, rc *bp.ReplayCache) (*bp.Analysis, bp.Program, string, string, error) {
+// stages stream exactly the bytes the key addresses; the caller closes it.
+func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string) (*bp.Analysis, *bp.TraceFile, string, string, error) {
 	var key string
 	var err error
 	if tracePath != "" {
@@ -310,7 +297,7 @@ func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string, rc *bp.R
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	selBytes, cached, _, err := service.AnalyzeCached(st, key, bp.DefaultConfig(), rc, nil)
+	selBytes, cached, _, err := service.AnalyzeCached(st, key, bp.DefaultConfig(), nil)
 	if err != nil {
 		return nil, nil, "", "", err
 	}
@@ -322,8 +309,7 @@ func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string, rc *bp.R
 	if err != nil {
 		return nil, nil, "", "", err
 	}
-	replayProg := &storeTrace{Program: rc.Program(f, key), f: f}
-	a, err := sel.Bind(replayProg)
+	a, err := sel.Bind(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, "", "", err
@@ -332,18 +318,8 @@ func cachedAnalysis(st *store.Store, prog bp.Program, tracePath string, rc *bp.R
 	if cached {
 		note = ", selection reused from cache"
 	}
-	return a, replayProg, fmt.Sprintf("%s, trace %s", note, key[:12]), key, nil
+	return a, f, fmt.Sprintf("%s, trace %s", note, key[:12]), key, nil
 }
-
-// storeTrace pairs a store trace's cached replay view with the file handle
-// it reads, so the caller can close the file when done.
-type storeTrace struct {
-	bp.Program
-	f *bp.TraceFile
-}
-
-// Close releases the underlying trace file.
-func (t *storeTrace) Close() error { return t.f.Close() }
 
 // runAnalyze is the classic pipeline: analyze, estimate, and (optionally)
 // validate against a full simulation — from a built-in workload or from a
@@ -360,7 +336,6 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 		warmupFl  = fs.String("warmup", "mru+prev", "warmup mode: cold, mru, mru+prev")
 		skipFull  = fs.Bool("skip-full", false, "skip the ground-truth simulation (no error report)")
 		list      = fs.Bool("list", false, "list available workloads and exit")
-		replayMB  = fs.Int64("replay-cache-mb", 256, "decoded-region replay cache budget for recorded traces, MiB (0 disables)")
 		targetCI  = fs.Float64("target-ci", 0, "target relative confidence interval on the runtime estimate; promotes extra regions adaptively until met (0 disables)")
 		confid    = fs.Float64("confidence", adaptive.DefaultConfidence, "confidence level for the estimate's error bars")
 	)
@@ -388,17 +363,9 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// One replay cache serves the whole pipeline run: analyze, warmup
-	// capture, point simulation and the ground-truth pass then decode each
-	// region of a recorded trace once.
-	var rc *bp.ReplayCache
-	if *replayMB > 0 {
-		rc = bp.NewReplayCache(*replayMB << 20)
-	}
-
 	var prog bp.Program
 	if *tracePath != "" {
-		f, err := bp.OpenTraceCached(*tracePath, rc)
+		f, err := bp.OpenTrace(*tracePath)
 		if err != nil {
 			return err
 		}
@@ -431,13 +398,13 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		var key string
-		analysis, prog, note, key, err = cachedAnalysis(st, prog, *tracePath, rc)
+		var f *bp.TraceFile
+		analysis, f, note, key, err = cachedAnalysis(st, prog, *tracePath)
 		if err != nil {
 			return err
 		}
-		if closer, ok := prog.(interface{ Close() error }); ok {
-			defer closer.Close()
-		}
+		defer f.Close()
+		prog = f
 		pointRunner = &farm.CachedRunner{St: st, TraceKey: key, Inner: bp.LocalRunner{}}
 	} else {
 		var err error

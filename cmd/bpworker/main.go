@@ -87,7 +87,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		poll        = fs.Duration("poll", 500*time.Millisecond, "sleep between empty lease polls")
 		maxTasks    = fs.Int("max-tasks", 0, "exit after settling this many tasks (0 = run forever); transient RPC trouble retries instead of burning budget")
 		idleExit    = fs.Duration("idle-exit", 0, "exit after the queue stays empty this long (0 = never)")
-		replayMB    = fs.Int64("replay-cache-mb", 256, "decoded-region replay cache budget, MiB (0 disables)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /debug/spans on this address (empty disables)")
 		pprofOn     = fs.Bool("pprof", false, "mount net/http/pprof on the -metrics-addr listener")
 		faultSpec   = fs.String("fault", "", "fault-injection spec, e.g. 'rpc.lease:p=0.1;rpc.result:p=0.1' (chaos testing; see internal/fault)")
@@ -127,11 +126,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 	c := &farm.Client{Base: *server}
 
-	var rc *bp.ReplayCache
-	if *replayMB > 0 {
-		rc = bp.NewReplayCache(*replayMB << 20)
-	}
-	w := newWorker(c, st, rc, logger)
+	w := newWorker(c, st, logger)
 	c.OnRetry = func(op string, attempt int, err error) {
 		w.rpcRetries.Inc()
 		logger.Debug("rpc retrying", "op", op, "attempt", attempt, "err", err)
@@ -260,7 +255,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 type worker struct {
 	client *farm.Client
 	st     *store.Store
-	rc     *bp.ReplayCache // decoded-region cache shared across tasks
 	logger *slog.Logger
 
 	reg        *obs.Registry
@@ -277,8 +271,8 @@ type worker struct {
 	hbDone   chan struct{}
 }
 
-func newWorker(c *farm.Client, st *store.Store, rc *bp.ReplayCache, logger *slog.Logger) *worker {
-	w := &worker{client: c, st: st, rc: rc, logger: logger}
+func newWorker(c *farm.Client, st *store.Store, logger *slog.Logger) *worker {
+	w := &worker{client: c, st: st, logger: logger}
 	r := obs.NewRegistry()
 	w.reg = r
 	w.spans = obs.NewSpanRecorder(0)
@@ -287,12 +281,6 @@ func newWorker(c *farm.Client, st *store.Store, rc *bp.ReplayCache, logger *slog
 	w.rpcRetries = r.Counter("bp_rpc_retries_total", "Farm RPC attempts that failed transiently and were retried with backoff.")
 	w.taskDur = r.Histogram("bpworker_task_seconds", "End-to-end task latency: trace fetch, simulation, upload.", obs.DefLatencyBuckets)
 	w.fetchDur = r.Histogram("bpworker_trace_fetch_seconds", "Trace fetch latency (cache-hit fetches are near-zero).", obs.DefLatencyBuckets)
-	r.GaugeFunc("bpworker_replay_cache_bytes", "Decoded-region replay cache resident bytes.", func() float64 {
-		return float64(rc.Stats().Bytes)
-	})
-	r.GaugeFunc("bpworker_replay_cache_entries", "Decoded-region replay cache resident regions.", func() float64 {
-		return float64(rc.Stats().Entries)
-	})
 	r.GaugeFunc("bpworker_held_leases", "Task leases currently held (renewed by the heartbeat loop).", func() float64 {
 		w.mu.Lock()
 		defer w.mu.Unlock()
@@ -480,7 +468,7 @@ func (w *worker) runTask(t farm.Task) (bool, error) {
 		}
 		stop = span.StartStage("simulate")
 		defer stop()
-		return farm.ExecuteTaskCached(w.st, t, w.rc)
+		return farm.ExecuteTask(w.st, t)
 	}()
 	if err != nil {
 		span.SetAttr("error", err.Error())

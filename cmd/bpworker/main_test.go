@@ -82,7 +82,7 @@ func TestWorkerProcessesTasks(t *testing.T) {
 	}
 	// The worker's results must be bit-identical to server-local compute.
 	for _, region := range []int{1, 2} {
-		want, err := farm.ExecuteTaskCached(st, farm.Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"}, nil)
+		want, err := farm.ExecuteTask(st, farm.Task{TraceKey: key, Region: region, Sockets: 1, Warmup: "mru"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestWorkerIdleExit(t *testing.T) {
 // attempt) rather than wedging.
 func TestWorkerReportsFailure(t *testing.T) {
 	q, srv, _, key := newFarm(t)
-	// Region beyond the trace makes ExecuteTaskCached fail after a successful
+	// Region beyond the trace makes ExecuteTask fail after a successful
 	// trace fetch.
 	tk, err := q.Enqueue(farm.Spec{TraceKey: key, Region: 1 << 20, Sockets: 1, Warmup: "cold"})
 	if err != nil {

@@ -68,7 +68,7 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 		t.Fatalf("heartbeat: dropped %v err %v", dropped, err)
 	}
 
-	res, err := farm.ExecuteTaskCached(wst, task, nil)
+	res, err := farm.ExecuteTask(wst, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestHTTPWorkerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := farm.ExecuteTaskCached(st, task, nil)
+	want, err := farm.ExecuteTask(st, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestHTTPBodyLimits(t *testing.T) {
 	if err := c.FetchTrace(wst, task.TraceKey); err != nil {
 		t.Fatal(err)
 	}
-	out, err := farm.ExecuteTaskCached(wst, task, nil)
+	out, err := farm.ExecuteTask(wst, task)
 	if err != nil {
 		t.Fatal(err)
 	}

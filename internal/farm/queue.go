@@ -204,12 +204,6 @@ type Queue struct {
 	stopSweep chan struct{}
 	sweepDone chan struct{}
 
-	// replay is the decoded-region cache shared by every in-process worker
-	// of this queue (see RunLocalWorker), created on first use so queues
-	// that never run local workers pay nothing.
-	replayOnce sync.Once
-	replay     *bp.ReplayCache
-
 	// logger, when set, gives task-attempt failures structured log lines;
 	// taskDur, when set (see Instrument), observes enqueue-to-complete
 	// latency; workerSpans retains the spans recorded by this queue's
@@ -217,13 +211,6 @@ type Queue struct {
 	logger      *slog.Logger
 	taskDur     *obs.Histogram
 	workerSpans *obs.SpanRecorder
-}
-
-// replayCache returns the queue's shared decoded-region replay cache,
-// creating it (default budget) on first use.
-func (q *Queue) replayCache() *bp.ReplayCache {
-	q.replayOnce.Do(func() { q.replay = bp.NewReplayCache(0) })
-	return q.replay
 }
 
 // NewQueue creates an in-memory queue over st and starts its

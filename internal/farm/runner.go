@@ -21,16 +21,13 @@ func PointArtifact(region int, mc bp.MachineConfig, warmup string) string {
 	return fmt.Sprintf("point-%06d-%s-%s.json", region, store.HashJSON(mc), store.SanitizeLabel(warmup))
 }
 
-// ExecuteTaskCached performs a leased task against a local store: open
-// the trace, simulate the single point, return the result. This is the
-// one compute path shared by in-process workers and cmd/bpworker, and it
+// ExecuteTask performs a leased task against a local store: open the
+// trace, simulate the single point, return the result. This is the one
+// compute path shared by in-process workers and cmd/bpworker, and it
 // funnels into bp.SimulatePoint — the same code LocalRunner runs — so
-// farmed results are bit-identical to local ones. rc is a region replay
-// cache keyed by the task's trace content key: a worker that leases many
-// points of one trace (the common batch shape) decodes each
-// warmup-prefix region once instead of once per point. A nil rc streams
-// from disk; cached and uncached execution are bit-identical.
-func ExecuteTaskCached(st *store.Store, t Task, rc *bp.ReplayCache) (bp.RegionResult, error) {
+// farmed results are bit-identical to local ones. The trace streams from
+// the store's file, one region at a time.
+func ExecuteTask(st *store.Store, t Task) (bp.RegionResult, error) {
 	mode, err := bp.ParseWarmup(t.Warmup)
 	if err != nil {
 		return bp.RegionResult{}, err
@@ -40,7 +37,7 @@ func ExecuteTaskCached(st *store.Store, t Task, rc *bp.ReplayCache) (bp.RegionRe
 		return bp.RegionResult{}, err
 	}
 	defer f.Close()
-	return bp.SimulatePoint(rc.Program(f, t.TraceKey), t.Region, bp.TableIMachine(t.Sockets), mode)
+	return bp.SimulatePoint(f, t.Region, bp.TableIMachine(t.Sockets), mode)
 }
 
 // QueueRunner is a bp.PointRunner that farms each point out as a queue
@@ -146,14 +143,11 @@ func (r *CachedRunner) RunPoints(p bp.Program, regions []int, mc bp.MachineConfi
 }
 
 // RunLocalWorker drives an in-process worker against the queue until ctx
-// is done or the queue closes: lease, simulate via ExecuteTaskCached over st
+// is done or the queue closes: lease, simulate via ExecuteTask over st
 // (which must hold — or share — the traces), upload. It powers tests and
 // benchmarks; cmd/bpworker is the same loop over the HTTP protocol.
 func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string) {
 	id := q.Register(name)
-	// All in-process workers of one queue share a single decoded-region
-	// cache: one budget, and each region decoded once for the whole fleet.
-	rc := q.replayCache()
 	idle := q.cfg.SweepEvery / 2
 	if idle <= 0 || idle > 50*time.Millisecond {
 		idle = 50 * time.Millisecond
@@ -182,7 +176,7 @@ func RunLocalWorker(ctx context.Context, q *Queue, st *store.Store, name string)
 			span.SetAttr("task", t.ID)
 			span.SetAttr("worker", id)
 			stop := span.StartStage("simulate")
-			res, err := ExecuteTaskCached(st, t, rc)
+			res, err := ExecuteTask(st, t)
 			stop()
 			if err != nil {
 				q.Fail(id, t.ID, err.Error())

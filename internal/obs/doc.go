@@ -16,8 +16,7 @@
 //     bpworker_ so a scrape config can tell the two apart even behind one
 //     relabeling rule.
 //   - Counters end in _total and only ever increase; gauges carry no
-//     suffix and report current level (bp_farm_tasks_pending,
-//     bp_replay_cache_bytes).
+//     suffix and report current level (bp_farm_tasks_pending).
 //   - Histograms carry a unit suffix — _seconds for latencies, _bytes for
 //     sizes — and expose the standard _bucket{le="..."}/_sum/_count
 //     series with cumulative, monotone buckets ending at le="+Inf".
@@ -35,7 +34,5 @@
 // into the span each worker records while simulating that task — so one
 // grep over coordinator and worker telemetry reconstructs a distributed
 // job end to end. Span stages partition a job's wall clock (profile,
-// cluster, simulate-points, reconstruct, adaptive-round, ...); stages
-// flagged Concurrent (trace-decode) overlap the others and are excluded
-// from the partition sum.
+// cluster, simulate-points, reconstruct, adaptive-round, ...).
 package obs

@@ -19,15 +19,11 @@ func NewTraceID() string {
 
 // Stage is one timed phase of a span. Repeated observations of the same
 // stage accumulate (DurationNs sums, Count counts), so a loop stage like
-// "adaptive-round" reads as one line with a multiplicity. Stages with
-// Concurrent set overlap other stages (e.g. trace decoding performed
-// inside profiling and simulation) and are excluded when checking that
-// stages partition the span's wall clock.
+// "adaptive-round" reads as one line with a multiplicity.
 type Stage struct {
 	Name       string `json:"name"`
 	DurationNs int64  `json:"duration_ns"`
 	Count      int    `json:"count"`
-	Concurrent bool   `json:"concurrent,omitempty"`
 }
 
 // SpanData is the serializable snapshot of a span, embedded in job
@@ -42,14 +38,12 @@ type SpanData struct {
 	Stages     []Stage           `json:"stages,omitempty"`
 }
 
-// StageSumNs sums the non-concurrent stage durations — the part of the
-// span's wall clock the stages account for.
+// StageSumNs sums the stage durations — the part of the span's wall
+// clock the stages account for.
 func (d SpanData) StageSumNs() int64 {
 	var sum int64
 	for _, s := range d.Stages {
-		if !s.Concurrent {
-			sum += s.DurationNs
-		}
+		sum += s.DurationNs
 	}
 	return sum
 }
@@ -87,29 +81,22 @@ func (s *Span) SetAttr(k, v string) {
 	s.d.Attrs[k] = v
 }
 
-func (s *Span) observe(stage string, d time.Duration, concurrent bool) {
+// Observe records one timed occurrence of a stage.
+func (s *Span) Observe(stage string, d time.Duration) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.d.Stages {
-		if s.d.Stages[i].Name == stage && s.d.Stages[i].Concurrent == concurrent {
+		if s.d.Stages[i].Name == stage {
 			s.d.Stages[i].DurationNs += d.Nanoseconds()
 			s.d.Stages[i].Count++
 			return
 		}
 	}
-	s.d.Stages = append(s.d.Stages, Stage{
-		Name: stage, DurationNs: d.Nanoseconds(), Count: 1, Concurrent: concurrent,
-	})
+	s.d.Stages = append(s.d.Stages, Stage{Name: stage, DurationNs: d.Nanoseconds(), Count: 1})
 }
-
-// Observe records one timed occurrence of a stage.
-func (s *Span) Observe(stage string, d time.Duration) { s.observe(stage, d, false) }
-
-// ObserveConcurrent records stage time that overlapped other stages.
-func (s *Span) ObserveConcurrent(stage string, d time.Duration) { s.observe(stage, d, true) }
 
 // StartStage starts timing a stage; the returned func records it.
 func (s *Span) StartStage(stage string) func() {

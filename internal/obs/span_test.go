@@ -22,7 +22,6 @@ func TestSpanStageAccumulation(t *testing.T) {
 	s.Observe("simulate-points", 10*time.Millisecond)
 	s.Observe("simulate-points", 20*time.Millisecond)
 	s.Observe("reconstruct", 5*time.Millisecond)
-	s.ObserveConcurrent("trace-decode", 100*time.Millisecond)
 	s.SetAttr("job", "job-000001")
 	s.Finish()
 	s.Finish() // idempotent
@@ -31,17 +30,13 @@ func TestSpanStageAccumulation(t *testing.T) {
 	if d.TraceID != "abcd" || d.Name != "estimate" {
 		t.Fatalf("bad identity: %+v", d)
 	}
-	if len(d.Stages) != 3 {
-		t.Fatalf("want 3 stages, got %+v", d.Stages)
+	if len(d.Stages) != 2 {
+		t.Fatalf("want 2 stages, got %+v", d.Stages)
 	}
 	sp := d.Stages[0]
 	if sp.Name != "simulate-points" || sp.Count != 2 || sp.DurationNs != (30*time.Millisecond).Nanoseconds() {
 		t.Errorf("simulate-points accumulation wrong: %+v", sp)
 	}
-	if !d.Stages[2].Concurrent {
-		t.Errorf("trace-decode should be concurrent: %+v", d.Stages[2])
-	}
-	// Concurrent stages are excluded from the wall-clock partition.
 	if got, want := d.StageSumNs(), (35 * time.Millisecond).Nanoseconds(); got != want {
 		t.Errorf("StageSumNs = %d, want %d", got, want)
 	}
@@ -80,7 +75,6 @@ func TestSpanDataIsCopy(t *testing.T) {
 func TestNilSpanIsNoop(t *testing.T) {
 	var s *Span
 	s.Observe("x", time.Second)
-	s.ObserveConcurrent("x", time.Second)
 	s.SetAttr("k", "v")
 	s.StartStage("x")()
 	s.Finish()

@@ -42,13 +42,13 @@ func TestIngestProfilesDuringUpload(t *testing.T) {
 	data := recordTrace(t)
 
 	// Cold reference: plain PutTrace (no profiling) + analyze.
-	mCold, stCold := newManager(t)
+	_, stCold := newManager(t)
 	keyCold, _, err := stCold.PutTrace(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := bp.DefaultConfig()
-	coldSel, _, coldStats, err := AnalyzeCached(stCold, keyCold, cfg, mCold.replay, nil)
+	coldSel, _, coldStats, err := AnalyzeCached(stCold, keyCold, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestIngestProfilesDuringUpload(t *testing.T) {
 		t.Fatalf("ingest metadata %q/%d threads", res.Name, res.Threads)
 	}
 
-	sel, cached, stats, err := AnalyzeCached(st, res.Key, cfg, m.replay, nil)
+	sel, cached, stats, err := AnalyzeCached(st, res.Key, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	selA, _, statsA, err := AnalyzeCached(st, res.Key, cfgA, m.replay, nil)
+	selA, _, statsA, err := AnalyzeCached(st, res.Key, cfgA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if SelectionArtifact(cfgA) == SelectionArtifact(cfgB) {
 		t.Fatal("different MaxK landed on the same selection artifact")
 	}
-	selB, cached, statsB, err := AnalyzeCached(st, res.Key, cfgB, m.replay, nil)
+	selB, cached, statsB, err := AnalyzeCached(st, res.Key, cfgB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestReclusterReusesProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, statsC, err := AnalyzeCached(st, res.Key, cfgC, m.replay, nil)
+	_, _, statsC, err := AnalyzeCached(st, res.Key, cfgC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,12 @@ func TestJournalColdStoreRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = store.ReplayWAL(filepath.Join(jdir, "jobs.wal"), func(rec []byte) error {
+	jf, err := os.Open(filepath.Join(jdir, "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	_, _, err = store.ReplayFrames(jf, func(rec []byte) error {
 		var jr journalRecord
 		if err := json.Unmarshal(rec, &jr); err != nil {
 			return err
@@ -436,7 +441,7 @@ func TestJournalRecoversPreviousReleaseLog(t *testing.T) {
 	}
 	// With the default selection in the store, the done analyze restores
 	// as terminal; the done estimate's artifact is absent, so it re-runs.
-	if _, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil, nil); err != nil {
+	if _, _, _, err := AnalyzeCached(st, key, bp.DefaultConfig(), nil); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "jobs.wal")

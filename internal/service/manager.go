@@ -98,8 +98,7 @@ type Snapshot struct {
 	Recovered bool `json:"recovered,omitempty"`
 	// Span is the job's stage-timing span: per-stage durations (profile,
 	// cluster, simulate-points, reconstruct, adaptive-round, ...) that
-	// partition the job's wall clock, plus concurrent stages (trace-decode)
-	// that overlap them. Present once the job has started.
+	// partition the job's wall clock. Present once the job has started.
 	Span *obs.SpanData `json:"span,omitempty"`
 }
 
@@ -178,16 +177,10 @@ const maxRetained = 1024
 // the store's artifact cache, every expensive stage runs at most once per
 // (trace, parameters).
 type Manager struct {
-	st *store.Store
-	// replay is the manager's shared region replay cache: every job that
-	// replays a stored trace — a cold analyze, an estimate's warmup and
-	// point simulations, a ground-truth simulate — decodes regions through
-	// it, keyed by trace content. An estimate+simulate pair over one trace
-	// therefore decodes each region once, not once per job.
-	replay *bp.ReplayCache
-	farm   *farm.Queue // nil until SetFarm; estimates then stay local
-	queue  chan *job
-	wg     sync.WaitGroup
+	st    *store.Store
+	farm  *farm.Queue // nil until SetFarm; estimates then stay local
+	queue chan *job
+	wg    sync.WaitGroup
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -228,7 +221,6 @@ func New(st *store.Store, workers, depth int) *Manager {
 	}
 	m := &Manager{
 		st:       st,
-		replay:   bp.NewReplayCache(0), // DefaultReplayCacheBytes
 		queue:    make(chan *job, depth),
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
@@ -248,9 +240,9 @@ func New(st *store.Store, workers, depth int) *Manager {
 	return m
 }
 
-// registerMetrics bridges the manager's counters and caches into its
-// metrics registry. The atomics remain the single source of truth; every
-// bp_jobs_*/bp_replay_* family reads them at scrape time.
+// registerMetrics bridges the manager's counters into its metrics
+// registry. The atomics remain the single source of truth; every
+// bp_jobs_* family reads them at scrape time.
 func (m *Manager) registerMetrics() {
 	r := m.reg
 	counter := func(name, help string, a *atomic.Int64) {
@@ -272,29 +264,6 @@ func (m *Manager) registerMetrics() {
 	counter("bp_profile_computed_total", "Region profiles computed (and cached) on profile-cache misses.", &m.profileComputed)
 	counter("bp_ingest_traces_total", "Traces ingested through the streaming upload path.", &m.ingestedTraces)
 	counter("bp_ingest_profiles_total", "Region profiles stored during streaming ingest, while the upload was still transferring.", &m.ingestedProfiles)
-
-	cache := func(name, help string, f func(s bp.ReplayCacheStats) float64, gauge bool) {
-		fn := func() float64 { return f(m.ReplayCacheStats()) }
-		if gauge {
-			r.GaugeFunc(name, help, fn)
-		} else {
-			r.CounterFunc(name, help, fn)
-		}
-	}
-	cache("bp_replay_cache_hits_total", "Replay cache region hits.",
-		func(s bp.ReplayCacheStats) float64 { return float64(s.Hits) }, false)
-	cache("bp_replay_cache_misses_total", "Replay cache region misses (decodes).",
-		func(s bp.ReplayCacheStats) float64 { return float64(s.Misses) }, false)
-	cache("bp_replay_cache_evictions_total", "Replay cache LRU evictions.",
-		func(s bp.ReplayCacheStats) float64 { return float64(s.Evictions) }, false)
-	cache("bp_replay_decode_seconds_total", "Cumulative wall-clock seconds spent decoding regions.",
-		func(s bp.ReplayCacheStats) float64 { return float64(s.DecodeNs) / 1e9 }, false)
-	cache("bp_replay_cache_bytes", "Decoded bytes currently held by the replay cache.",
-		func(s bp.ReplayCacheStats) float64 { return float64(s.Bytes) }, true)
-	cache("bp_replay_cache_max_bytes", "Replay cache byte budget.",
-		func(s bp.ReplayCacheStats) float64 { return float64(s.MaxBytes) }, true)
-	cache("bp_replay_cache_entries", "Regions currently held by the replay cache.",
-		func(s bp.ReplayCacheStats) float64 { return float64(s.Entries) }, true)
 
 	m.jobDur = r.HistogramVec("bp_job_seconds", "Job wall-clock latency by kind.",
 		"kind", obs.DefLatencyBuckets)
@@ -332,21 +301,6 @@ func (m *Manager) SetFarm(q *farm.Queue) {
 // Farm returns the attached work queue, or nil when execution is
 // local-only.
 func (m *Manager) Farm() *farm.Queue { return m.farm }
-
-// SetReplayCacheBytes resizes the manager's region replay cache budget:
-// 0 restores the default (bp.DefaultReplayCacheBytes), negative disables
-// caching. Call it once, before the first Submit.
-func (m *Manager) SetReplayCacheBytes(n int64) {
-	if n < 0 {
-		m.replay = nil
-		return
-	}
-	m.replay = bp.NewReplayCache(n)
-}
-
-// ReplayCacheStats returns the replay cache's activity counters (zeros
-// when caching is disabled).
-func (m *Manager) ReplayCacheStats() bp.ReplayCacheStats { return m.replay.Stats() }
 
 // Stats returns activity counters.
 func (m *Manager) Stats() Stats {
@@ -659,16 +613,7 @@ func (m *Manager) run(j *job) {
 	m.journalBestEffortLocked(journalRecord{Op: jopRunning, ID: j.id})
 	m.mu.Unlock()
 
-	// Region decoding happens inside profiling and simulation, so its time
-	// is attributed as a concurrent stage: the delta in the replay cache's
-	// cumulative decode clock across the job's execution. The clock is
-	// shared, so jobs running at the same time over one cache may attribute
-	// each other's decodes — fine for a concurrent (non-partition) stage.
-	decode0 := m.ReplayCacheStats().DecodeNs
 	result, cached, err := m.execute(j)
-	if d := m.ReplayCacheStats().DecodeNs - decode0; d > 0 {
-		j.span.ObserveConcurrent("trace-decode", time.Duration(d))
-	}
 	j.span.Finish()
 	m.jobDur.With(string(j.req.Kind)).ObserveDuration(time.Since(j.started))
 	m.spans.Record(j.span.Data())
@@ -723,7 +668,7 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 	switch j.req.Kind {
 	case KindAnalyze:
 		j.artifact = SelectionArtifact(j.cfg)
-		sel, cached, stats, err := AnalyzeCached(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
+		sel, cached, stats, err := AnalyzeCached(m.st, j.req.Trace, j.cfg, obsrv)
 		if err != nil {
 			return nil, false, err
 		}
@@ -752,7 +697,7 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 		} else if !errors.Is(err, store.ErrNotFound) {
 			return nil, false, err
 		}
-		selBytes, selCached, stats, err := AnalyzeCached(m.st, j.req.Trace, j.cfg, m.replay, obsrv)
+		selBytes, selCached, stats, err := AnalyzeCached(m.st, j.req.Trace, j.cfg, obsrv)
 		if err != nil {
 			return nil, false, err
 		}
@@ -765,9 +710,8 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		// Bind the selection to the cached replay view: warmup capture and
-		// the local point runner then replay decoded regions from memory.
-		a, err := sel.Bind(m.replay.Program(f, j.req.Trace))
+		// Warmup capture and the local point runner stream regions from f.
+		a, err := sel.Bind(f)
 		if err != nil {
 			return nil, false, err
 		}
@@ -804,7 +748,7 @@ func (m *Manager) execute(j *job) (json.RawMessage, bool, error) {
 			return nil, false, err
 		}
 		sim0 := time.Now()
-		full, err := bp.SimulateFull(m.replay.Program(f, j.req.Trace), mc)
+		full, err := bp.SimulateFull(f, mc)
 		obsrv("simulate-full", time.Since(sim0))
 		if err != nil {
 			return nil, false, err

@@ -74,9 +74,8 @@ func profileRegion(st *store.Store, r trace.Region, threads int, digest string) 
 // parallel across regions like profile.Program. Results are ordered by
 // region index and bit-identical to a direct profiling pass (the codec
 // round-trips exact float bits), so selections built from them match the
-// cold path byte for byte. prog is the replay view to profile misses
-// through (the caller's replay-cache wrapper of f, or f itself).
-func profilesFor(st *store.Store, f *tracefile.File, prog trace.Program) ([]*signature.RegionData, ProfileStats, error) {
+// cold path byte for byte.
+func profilesFor(st *store.Store, f *tracefile.File) ([]*signature.RegionData, ProfileStats, error) {
 	n := f.Regions()
 	out := make([]*signature.RegionData, n)
 	stats := ProfileStats{Regions: n}
@@ -112,7 +111,7 @@ func profilesFor(st *store.Store, f *tracefile.File, prog trace.Program) ([]*sig
 						cached.Add(1)
 						continue
 					}
-					out[i], _, err = profileRegion(st, prog.Region(i), f.Threads(), digest)
+					out[i], _, err = profileRegion(st, f.Region(i), f.Threads(), digest)
 					if err == nil {
 						computed.Add(1)
 						continue

@@ -52,9 +52,9 @@ var analyzeFn = analyzeProfiled
 // because no profiling happened: the analysis paid only decode + k-means.
 // Either way the resulting selection is byte-identical to a cold pass
 // (the profile codec round-trips exact float bits).
-func analyzeProfiled(st *store.Store, f *tracefile.File, prog bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+func analyzeProfiled(st *store.Store, f *tracefile.File, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 	t0 := time.Now()
-	profiles, stats, err := profilesFor(st, f, prog)
+	profiles, stats, err := profilesFor(st, f)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -66,7 +66,7 @@ func analyzeProfiled(st *store.Store, f *tracefile.File, prog bp.Program, cfg bp
 		obsrv(stage, time.Since(t0))
 	}
 	t1 := time.Now()
-	a, err := bp.AnalyzeWithProfiles(prog, cfg, profiles)
+	a, err := bp.AnalyzeWithProfiles(f, cfg, profiles)
 	if obsrv != nil {
 		obsrv("cluster", time.Since(t1))
 	}
@@ -176,10 +176,8 @@ var (
 // trace, config) within the process. The returned bytes parse with
 // bp.LoadSelection.
 //
-// A cold analysis decodes each region through rc (keyed by the trace's
-// content key), so a following estimate or simulate over the same cache
-// replays regions without touching the trace file; a nil rc streams from
-// disk. It reports its profiling ("profile", or "profile-cache" when
+// A cold analysis streams each region it profiles from the stored trace
+// file. It reports its profiling ("profile", or "profile-cache" when
 // every region profile was served from the store) and "cluster" stage
 // durations to obsrv (nil for none); the observer never influences the
 // computed selection. stats says where a cold analysis's region profiles
@@ -187,7 +185,7 @@ var (
 // in-flight computation, returns zero stats and reports no stages —
 // nothing was profiled in this call. A cold run right after a streaming
 // upload reports Computed==0, every profile already being in the store.
-func AnalyzeCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCache, obsrv bp.StageObserver) (sel []byte, cached bool, stats ProfileStats, err error) {
+func AnalyzeCached(st *store.Store, key string, cfg bp.Config, obsrv bp.StageObserver) (sel []byte, cached bool, stats ProfileStats, err error) {
 	name := SelectionArtifact(cfg)
 	flightKey := st.Root() + "|" + key + "|" + name
 	for {
@@ -206,7 +204,7 @@ func AnalyzeCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCach
 		analyzeFlights[flightKey] = ch
 		analyzeMu.Unlock()
 
-		sel, stats, err := computeSelection(st, key, cfg, name, rc, obsrv)
+		sel, stats, err := computeSelection(st, key, cfg, name, obsrv)
 		analyzeMu.Lock()
 		delete(analyzeFlights, flightKey)
 		analyzeMu.Unlock()
@@ -217,13 +215,13 @@ func AnalyzeCached(st *store.Store, key string, cfg bp.Config, rc *bp.ReplayCach
 
 // computeSelection runs the cold path: profile (through the per-region
 // profile cache), cluster, serialize, cache.
-func computeSelection(st *store.Store, key string, cfg bp.Config, name string, rc *bp.ReplayCache, obsrv bp.StageObserver) ([]byte, ProfileStats, error) {
+func computeSelection(st *store.Store, key string, cfg bp.Config, name string, obsrv bp.StageObserver) ([]byte, ProfileStats, error) {
 	f, err := st.OpenTrace(key)
 	if err != nil {
 		return nil, ProfileStats{}, err
 	}
 	defer f.Close()
-	a, stats, err := analyzeFn(st, f, rc.Program(f, key), cfg, obsrv)
+	a, stats, err := analyzeFn(st, f, cfg, obsrv)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -45,7 +45,7 @@ func TestAnalyzeCachedSkipsProfiling(t *testing.T) {
 	st, key := newTestStore(t)
 	cfg := bp.DefaultConfig()
 
-	cold, cached, _, err := AnalyzeCached(st, key, cfg, nil, nil)
+	cold, cached, _, err := AnalyzeCached(st, key, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +55,12 @@ func TestAnalyzeCachedSkipsProfiling(t *testing.T) {
 
 	orig := analyzeFn
 	defer func() { analyzeFn = orig }()
-	analyzeFn = func(st *store.Store, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+	analyzeFn = func(st *store.Store, f *tracefile.File, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 		t.Error("cached path invoked the profiler")
-		return orig(st, f, p, cfg, obsrv)
+		return orig(st, f, cfg, obsrv)
 	}
 
-	warm, cached, _, err := AnalyzeCached(st, key, cfg, nil, nil)
+	warm, cached, _, err := AnalyzeCached(st, key, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,55 +88,12 @@ func TestAnalyzeCachedSkipsProfiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cached, _, err = AnalyzeCached(st, key, bbvCfg, nil, nil)
+	_, cached, _, err = AnalyzeCached(st, key, bbvCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached {
 		t.Error("bbv config hit the combine cache")
-	}
-}
-
-// TestReplayCacheSharedAcrossJobs proves one manager cache serves every
-// job over a trace: after an estimate and a ground-truth simulate of the
-// same trace, the decoded-region cache has hits (regions decoded by the
-// first job replayed from memory by the second), and the results are the
-// same as a cache-disabled manager's over an identical store.
-func TestReplayCacheSharedAcrossJobs(t *testing.T) {
-	runBoth := func(t *testing.T, disable bool) (est, act json.RawMessage, stats bp.ReplayCacheStats) {
-		st, key := newTestStore(t)
-		m := New(st, 2, 0)
-		if disable {
-			m.SetReplayCacheBytes(-1)
-		}
-		defer m.Shutdown(context.Background())
-		for _, kind := range []Kind{KindEstimate, KindSimulate} {
-			snap, err := m.Submit(Request{Kind: kind, Trace: key, Warmup: "mru"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			done, err := m.Wait(context.Background(), snap.ID)
-			if err != nil || done.Status != StatusDone {
-				t.Fatalf("%s job: err=%v status=%s error=%s", kind, err, done.Status, done.Error)
-			}
-			if kind == KindEstimate {
-				est = done.Result
-			} else {
-				act = done.Result
-			}
-		}
-		return est, act, m.ReplayCacheStats()
-	}
-	estC, actC, stats := runBoth(t, false)
-	if stats.Hits == 0 || stats.Misses == 0 {
-		t.Errorf("replay cache unused across jobs: %+v", stats)
-	}
-	estU, actU, statsU := runBoth(t, true)
-	if statsU.Hits != 0 || statsU.Misses != 0 {
-		t.Errorf("disabled cache reports activity: %+v", statsU)
-	}
-	if !bytes.Equal(estC, estU) || !bytes.Equal(actC, actU) {
-		t.Error("cached and uncached job results differ")
 	}
 }
 
@@ -155,10 +112,10 @@ func TestConcurrentSubmitDedup(t *testing.T) {
 	var calls atomic.Int32
 	orig := analyzeFn
 	defer func() { analyzeFn = orig }()
-	analyzeFn = func(st *store.Store, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+	analyzeFn = func(st *store.Store, f *tracefile.File, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 		calls.Add(1)
 		time.Sleep(100 * time.Millisecond)
-		return orig(st, f, p, cfg, obsrv)
+		return orig(st, f, cfg, obsrv)
 	}
 
 	const n = 16
@@ -236,10 +193,10 @@ func TestCrossKindSingleFlight(t *testing.T) {
 	var calls atomic.Int32
 	orig := analyzeFn
 	defer func() { analyzeFn = orig }()
-	analyzeFn = func(st *store.Store, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+	analyzeFn = func(st *store.Store, f *tracefile.File, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 		calls.Add(1)
 		time.Sleep(50 * time.Millisecond)
-		return orig(st, f, p, cfg, obsrv)
+		return orig(st, f, cfg, obsrv)
 	}
 
 	reqs := []Request{
@@ -366,9 +323,9 @@ func TestDedupIgnoresIrrelevantFields(t *testing.T) {
 	// below happens while its predecessors are still queued or running.
 	orig := analyzeFn
 	defer func() { analyzeFn = orig }()
-	analyzeFn = func(st *store.Store, f *tracefile.File, p bp.Program, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
+	analyzeFn = func(st *store.Store, f *tracefile.File, cfg bp.Config, obsrv bp.StageObserver) (*bp.Analysis, ProfileStats, error) {
 		time.Sleep(100 * time.Millisecond)
-		return orig(st, f, p, cfg, obsrv)
+		return orig(st, f, cfg, obsrv)
 	}
 	block, err := m.Submit(Request{Kind: KindAnalyze, Trace: key})
 	if err != nil {

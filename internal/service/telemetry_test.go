@@ -79,10 +79,9 @@ func TestJobSpanAndStageTimings(t *testing.T) {
 			t.Fatalf("span is missing stage %q; have %v", want, sp.Stages)
 		}
 	}
-	// Sequential stages partition the job's wall clock: their sum cannot
-	// exceed it (concurrent stages like trace-decode are excluded).
+	// Stages partition the job's wall clock: their sum cannot exceed it.
 	if sum := sp.StageSumNs(); sum > sp.DurationNs {
-		t.Fatalf("sequential stages (%d ns) exceed span wall clock (%d ns)", sum, sp.DurationNs)
+		t.Fatalf("stages (%d ns) exceed span wall clock (%d ns)", sum, sp.DurationNs)
 	}
 
 	// The recorder holds the span under its trace ID, and the counters

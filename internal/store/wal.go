@@ -109,19 +109,6 @@ func (c *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReplayWAL replays the log file at path; a missing file is an empty log.
-func ReplayWAL(path string, fn func(rec []byte) error) (validLen int64, n int, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	return ReplayFrames(f, fn)
-}
-
 // WALHooks intercepts a WAL's write path; it exists purely as a seam for
 // fault-injection tests (short writes, append errors, crash points
 // between a frame hitting the file and the caller applying it). Nil

@@ -12,8 +12,13 @@ import (
 // replayAll replays the log at path into a slice of record payloads.
 func replayAll(t *testing.T, path string) ([][]byte, int64) {
 	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
 	var recs [][]byte
-	valid, n, err := ReplayWAL(path, func(rec []byte) error {
+	valid, n, err := ReplayFrames(f, func(rec []byte) error {
 		recs = append(recs, append([]byte(nil), rec...))
 		return nil
 	})
@@ -154,10 +159,16 @@ func TestWALReplayStopsAtCorruptRecord(t *testing.T) {
 	}
 }
 
-func TestReplayWALMissingFile(t *testing.T) {
-	valid, n, err := ReplayWAL(filepath.Join(t.TempDir(), "nope.wal"), nil)
-	if err != nil || valid != 0 || n != 0 {
-		t.Fatalf("missing file: valid %d n %d err %v, want all zero", valid, n, err)
+func TestRecoverWALMissingFile(t *testing.T) {
+	w, err := RecoverWAL(filepath.Join(t.TempDir(), "nope.wal"), func(struct{}) {
+		t.Fatal("a missing log replayed a record")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if s := w.Stats(); s != (WALStats{}) {
+		t.Fatalf("missing file: %+v, want an empty log", s)
 	}
 }
 

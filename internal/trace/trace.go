@@ -43,8 +43,8 @@ type Stream interface {
 	// Next fills be with the next block execution and reports whether one
 	// was available. Once Next returns false the stream is exhausted and
 	// dead: callers must not call Next again. Implementations may recycle
-	// the stream's storage at that point (the replay cache pools its
-	// stream headers), so a post-exhaustion Next can observe an unrelated
+	// the stream's storage at that point (trace-file streams return their
+	// pooled decoders), so a post-exhaustion Next can observe an unrelated
 	// stream's state.
 	Next(be *BlockExec) bool
 }

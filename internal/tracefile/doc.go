@@ -106,20 +106,15 @@
 // with different knobs (max K, scale, signature variant) reuse every
 // cached profile and pay only k-means.
 //
-// # Replay caching
+// # Replay
 //
-// Replay is a cold decode by default: every Region/Thread call re-reads,
-// re-inflates (for gzip traces) and re-varint-decodes its chunk. Decoding
+// Every Region/Thread call streams its chunk straight from the file:
+// re-read, re-inflated (for gzip traces) and re-varint-decoded. Decoding
 // state is pooled process-wide — gzip inflaters and bufio buffers are
-// reused across streams — so even cold replay allocates only per-stream
-// bookkeeping. For workloads that replay regions repeatedly (warmup
-// capture, estimate+simulate pairs, campaign grids), RegionCache keeps
-// fully decoded regions in a byte-bounded LRU keyed by trace content, and
-// serves them as zero-copy, zero-allocation streams; see RegionCache for
-// the keying, bounding and equivalence contract. The cache defaults to
-// DefaultRegionCacheBytes (256 MiB) and is exposed as -replay-cache-mb on
-// cmd/bpserve and cmd/bpworker, and as barrierpoint.NewReplayCache in the
-// public API.
+// reused across streams — so replay allocates only per-stream bookkeeping
+// and holds O(region) memory. The pipeline rarely revisits a region: MRU
+// warmup state for every barrierpoint is captured in one functional pass
+// (see internal/warmup), so a job decodes most regions once.
 //
 // # Versioning
 //

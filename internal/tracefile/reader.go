@@ -256,17 +256,25 @@ func (f *File) RegionDigest(i int) (string, error) {
 	if i < 0 || i >= f.regions {
 		return "", fmt.Errorf("tracefile: region %d out of range [0,%d)", i, f.regions)
 	}
+	buf := digestBufPool.Get().(*[32 << 10]byte)
+	defer digestBufPool.Put(buf)
 	d := newRegionDigester(f.gzip, f.threads)
+	var sect sectReader
 	for t := 0; t < f.threads; t++ {
 		c := i*f.threads + t
-		n := f.end[c] - f.off[c]
-		d.beginChunk(uint64(n))
-		if _, err := io.Copy(d, io.NewSectionReader(f.ra, f.off[c], n)); err != nil {
+		d.beginChunk(uint64(f.end[c] - f.off[c]))
+		sect = sectReader{ra: f.ra, off: f.off[c], end: f.end[c]}
+		if _, err := io.CopyBuffer(d, &sect, buf[:]); err != nil {
 			return "", fmt.Errorf("tracefile: digesting region %d thread %d: %w", i, t, err)
 		}
 	}
 	return d.sum(), nil
 }
+
+// digestBufPool holds RegionDigest's copy buffers. Neither the digester
+// nor sectReader implements ReaderFrom/WriterTo, so without one io.Copy
+// would allocate a fresh 32 KiB buffer for every chunk.
+var digestBufPool = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 
 // Region implements trace.Program. The returned Region reads its chunks
 // lazily; materializing it costs no trace decoding.

@@ -50,26 +50,27 @@ const maxStreamName = 1 << 16
 // encoded payload bytes — not the decoded accesses — so it is independent
 // of where the region sits in its file and of the format version carrying
 // it.
-type regionDigester struct{ h hash.Hash }
+type regionDigester struct {
+	h       hash.Hash
+	scratch [len(digestTag) + 1 + binary.MaxVarintLen64]byte // framing bytes; a field, so no per-chunk escape
+}
 
 func newRegionDigester(gz bool, threads int) *regionDigester {
-	h := sha256.New()
+	d := &regionDigester{h: sha256.New()}
 	var flags byte
 	if gz {
 		flags = flagGzip
 	}
-	var buf [len(digestTag) + 1 + binary.MaxVarintLen64]byte
-	n := copy(buf[:], digestTag)
-	buf[n] = flags
+	n := copy(d.scratch[:], digestTag)
+	d.scratch[n] = flags
 	n++
-	n += binary.PutUvarint(buf[n:], uint64(threads))
-	h.Write(buf[:n])
-	return &regionDigester{h: h}
+	n += binary.PutUvarint(d.scratch[n:], uint64(threads))
+	d.h.Write(d.scratch[:n])
+	return d
 }
 
 func (d *regionDigester) beginChunk(size uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	d.h.Write(buf[:binary.PutUvarint(buf[:], size)])
+	d.h.Write(d.scratch[:binary.PutUvarint(d.scratch[:], size)])
 }
 
 func (d *regionDigester) Write(p []byte) (int, error) { return d.h.Write(p) }

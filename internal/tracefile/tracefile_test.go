@@ -287,6 +287,52 @@ func TestReplayMemoryIsPerRegion(t *testing.T) {
 	}
 }
 
+// TestChunkStreamSteadyStateAllocs caps the cache-miss decode path: once a
+// stream's scratch buffers have grown, each Next is allocation-free.
+func TestChunkStreamSteadyStateAllocs(t *testing.T) {
+	prog := workload.New("npb-is", 2, workload.WithScale(0.05))
+	for _, gz := range []bool{false, true} {
+		f := record(t, prog, WithGzip(gz))
+		s, err := f.stream(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var be trace.BlockExec
+		if !s.Next(&be) { // grow scratch on the first block
+			t.Fatal("empty stream")
+		}
+		allocs := testing.AllocsPerRun(500, func() {
+			if !s.done {
+				s.Next(&be)
+			}
+		})
+		if allocs >= 1 {
+			t.Errorf("gzip=%v: steady-state Next allocates %.1f times, want 0", gz, allocs)
+		}
+		if s.Err() != nil {
+			t.Fatal(s.Err())
+		}
+	}
+}
+
+// TestRegionDigestAllocs caps RegionDigest's allocations: the hash state
+// and one section reader per call, a pooled copy buffer, and nothing per
+// chunk — so the count does not grow with the thread count.
+func TestRegionDigestAllocs(t *testing.T) {
+	f := record(t, workload.New("npb-ft", 8, workload.WithScale(0.05)))
+	if _, err := f.RegionDigest(0); err != nil { // warm the buffer pool
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := f.RegionDigest(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("RegionDigest over %d threads allocates %.1f times per call, want <= 8", f.Threads(), allocs)
+	}
+}
+
 // BenchmarkReplayRegion measures streaming one recorded region off disk.
 // Its allocs/op report is the benchmark evidence that replay memory is
 // O(region): the figure is a small constant (bufio buffer + stream state

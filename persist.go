@@ -130,65 +130,6 @@ func OpenTrace(path string) (*TraceFile, error) {
 	return tracefile.Open(path)
 }
 
-// Replay caching: regions of a recorded trace are decoded on every replay
-// by default. A ReplayCache keeps fully decoded regions in a byte-bounded
-// LRU keyed by trace content, so the pipeline stages that revisit regions
-// — warmup capture before SimulatePoints, estimate+simulate pairs over one
-// trace, campaign grids — decode each region once and replay it from
-// memory with zero copies and zero allocations. Cached and uncached
-// replays are bit-identical (see tracefile.RegionCache for the contract).
-
-// ReplayCache is a bounded in-memory cache of decoded trace regions,
-// shareable by any number of open traces and goroutines.
-type ReplayCache = tracefile.RegionCache
-
-// ReplayCacheStats is a snapshot of a ReplayCache's activity.
-type ReplayCacheStats = tracefile.CacheStats
-
-// DefaultReplayCacheBytes is the default ReplayCache budget (256 MiB).
-const DefaultReplayCacheBytes = tracefile.DefaultRegionCacheBytes
-
-// NewReplayCache returns a replay cache bounded to maxBytes of decoded
-// region data (DefaultReplayCacheBytes if maxBytes <= 0).
-func NewReplayCache(maxBytes int64) *ReplayCache {
-	return tracefile.NewRegionCache(maxBytes)
-}
-
-// CachedTrace is an open recorded trace whose regions replay through a
-// ReplayCache. It implements Program; Close releases the underlying file
-// (cache entries survive and are shared with any other trace of the same
-// content).
-type CachedTrace struct {
-	Program
-	file *TraceFile
-}
-
-// File returns the underlying trace file.
-func (t *CachedTrace) File() *TraceFile { return t.file }
-
-// Close releases the underlying file handle.
-func (t *CachedTrace) Close() error { return t.file.Close() }
-
-// OpenTraceCached opens a recorded trace for replay through c, keyed by
-// the trace's content address — so two opens of byte-identical traces
-// share cached regions. A nil cache degrades to plain streaming replay
-// without paying the content-hashing pass over the file.
-func OpenTraceCached(path string, c *ReplayCache) (*CachedTrace, error) {
-	f, err := tracefile.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if c == nil {
-		return &CachedTrace{Program: f, file: f}, nil
-	}
-	key, err := store.FileKey(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &CachedTrace{Program: c.Program(f, key), file: f}, nil
-}
-
 // TraceKey returns the content address of the recorded trace at path: the
 // lowercase hex SHA-256 of its file bytes. This is the key under which the
 // analysis service (internal/store, used by bptool -cache and bpserve)
